@@ -60,6 +60,13 @@ struct DispatchResult
 {
     double meventsPerSec = 0.0;     //!< best trial
     std::uint64_t eventsTotal = 0;  //!< per trial (deterministic)
+
+    void
+    addTrial(double mevents_per_sec, std::uint64_t events)
+    {
+        meventsPerSec = std::max(meventsPerSec, mevents_per_sec);
+        eventsTotal = events;
+    }
 };
 
 void
@@ -69,64 +76,78 @@ bumpCounter(void *ctx)
 }
 
 /**
- * Drive one queue flavour through the shared workload shape: fill the
- * pending set with scattered ticks, drain, repeat. `schedule(eq, base,
- * i, fired)` hides which lane/kernel is being measured.
+ * One trial of one queue flavour through the shared workload shape: fill
+ * the pending set with scattered ticks, drain, repeat. `schedule(eq,
+ * when, fired)` hides which lane/kernel is being measured.
+ * @return Mevents/s; `events` receives the events fired.
  */
 template <typename Queue, typename ScheduleFn>
-DispatchResult
-benchDispatch(const BenchScale &s, int batch, ScheduleFn schedule)
+double
+dispatchTrial(const BenchScale &s, int batch, std::uint64_t &events,
+              ScheduleFn schedule)
 {
     const auto reps =
         static_cast<int>(s.dispatchEvents / static_cast<unsigned>(batch));
-    DispatchResult out;
-    for (int t = 0; t < s.trials; ++t) {
-        Queue eq;
-        std::uint64_t fired = 0;
-        const auto t0 = Clock::now();
-        for (int r = 0; r < reps; ++r) {
-            const Tick base = eq.now();
-            for (int i = 0; i < batch; ++i)
-                schedule(eq, base + (i * 7919) % batch + 1, fired);
-            eq.run();
-        }
-        const double secs = secondsSince(t0);
-        AERO_CHECK(fired == static_cast<std::uint64_t>(reps) * batch,
-                   "dispatch bench lost events");
-        out.eventsTotal = fired;
-        out.meventsPerSec =
-            std::max(out.meventsPerSec,
-                     static_cast<double>(fired) / secs / 1e6);
+    Queue eq;
+    std::uint64_t fired = 0;
+    const auto t0 = Clock::now();
+    for (int r = 0; r < reps; ++r) {
+        const Tick base = eq.now();
+        for (int i = 0; i < batch; ++i)
+            schedule(eq, base + (i * 7919) % batch + 1, fired);
+        eq.run();
     }
+    const double secs = secondsSince(t0);
+    AERO_CHECK(fired == static_cast<std::uint64_t>(reps) * batch,
+               "dispatch bench lost events");
+    events = fired;
+    return static_cast<double>(fired) / secs / 1e6;
+}
+
+struct DispatchSweepPoint
+{
+    DispatchResult tagged, compat, legacy;
+    double speedup = 0.0;  //!< median tagged/legacy ratio over pairs
+};
+
+/**
+ * Tagged and legacy trials interleave as ABAB pairs, and the speedup is
+ * the median of the per-pair ratios: load that slows a stretch of the
+ * run hits both halves of a pair, where a best-of-N per kernel lets one
+ * kernel's lucky trial and the other's unlucky one set the ratio.
+ */
+DispatchSweepPoint
+benchDispatch(const BenchScale &s, int batch)
+{
+    DispatchSweepPoint out;
+    std::vector<double> ratios;
+    for (int t = 0; t < s.trials; ++t) {
+        std::uint64_t events = 0;
+        const double tagged = dispatchTrial<EventQueue>(
+            s, batch, events,
+            [](EventQueue &eq, Tick when, std::uint64_t &fired) {
+                eq.scheduleTimerAt(when, &bumpCounter, &fired);
+            });
+        out.tagged.addTrial(tagged, events);
+        const double legacy = dispatchTrial<legacy::EventQueue>(
+            s, batch, events,
+            [](legacy::EventQueue &eq, Tick when, std::uint64_t &fired) {
+                eq.scheduleAt(when, [&fired] { ++fired; });
+            });
+        out.legacy.addTrial(legacy, events);
+        ratios.push_back(tagged / legacy);
+        const double compat = dispatchTrial<EventQueue>(
+            s, batch, events,
+            [](EventQueue &eq, Tick when, std::uint64_t &fired) {
+                eq.scheduleAt(when, [&fired] { ++fired; });
+            });
+        out.compat.addTrial(compat, events);
+    }
+    const auto mid = ratios.begin() + static_cast<std::ptrdiff_t>(
+                                          ratios.size() / 2);
+    std::nth_element(ratios.begin(), mid, ratios.end());
+    out.speedup = *mid;
     return out;
-}
-
-DispatchResult
-benchTagged(const BenchScale &s, int batch)
-{
-    return benchDispatch<EventQueue>(
-        s, batch, [](EventQueue &eq, Tick when, std::uint64_t &fired) {
-            eq.scheduleTimerAt(when, &bumpCounter, &fired);
-        });
-}
-
-DispatchResult
-benchCompat(const BenchScale &s, int batch)
-{
-    return benchDispatch<EventQueue>(
-        s, batch, [](EventQueue &eq, Tick when, std::uint64_t &fired) {
-            eq.scheduleAt(when, [&fired] { ++fired; });
-        });
-}
-
-DispatchResult
-benchLegacy(const BenchScale &s, int batch)
-{
-    return benchDispatch<legacy::EventQueue>(
-        s, batch,
-        [](legacy::EventQueue &eq, Tick when, std::uint64_t &fired) {
-            eq.scheduleAt(when, [&fired] { ++fired; });
-        });
 }
 
 struct ReplayResult
@@ -240,22 +261,20 @@ benchMain(int argc, char **argv)
     Json summary = Json::object();
     double headline = 0.0;
     double minSpeedup = 0.0;
-    std::printf("  raw dispatch (Mevents/s, best of %d trials)\n",
-                s.trials);
+    std::printf("  raw dispatch (Mevents/s, best of %d trials; speedup "
+                "is the median tagged/legacy ratio of %d ABAB pairs)\n",
+                s.trials, s.trials);
     std::printf("  %8s %10s %10s %10s %10s\n", "pending", "tagged",
                 "compat", "legacy", "speedup");
     for (const int pending : kPendingSweep) {
-        const DispatchResult tagged = benchTagged(s, pending);
-        const DispatchResult compat = benchCompat(s, pending);
-        const DispatchResult legacy = benchLegacy(s, pending);
-        const double speedup =
-            tagged.meventsPerSec / legacy.meventsPerSec;
+        const DispatchSweepPoint point = benchDispatch(s, pending);
+        const double speedup = point.speedup;
         std::printf("  %8d %10.2f %10.2f %10.2f %9.2fx\n", pending,
-                    tagged.meventsPerSec, compat.meventsPerSec,
-                    legacy.meventsPerSec, speedup);
-        results.push(dispatchRow("tagged", pending, tagged));
-        results.push(dispatchRow("compat", pending, compat));
-        results.push(dispatchRow("legacy", pending, legacy));
+                    point.tagged.meventsPerSec, point.compat.meventsPerSec,
+                    point.legacy.meventsPerSec, speedup);
+        results.push(dispatchRow("tagged", pending, point.tagged));
+        results.push(dispatchRow("compat", pending, point.compat));
+        results.push(dispatchRow("legacy", pending, point.legacy));
         summary["dispatch_speedup_p" + std::to_string(pending)] = speedup;
         if (pending == 64)
             headline = speedup;

@@ -5,9 +5,9 @@
  *
  * The manager also owns wear accounting (per-block erase counts since
  * mount) and reports structural transitions to an optional LineManager
- * observer so the GC victim heaps stay incremental. Which free block a
- * plane opens next is delegated to an optional WearLevelPolicy; without
- * one, reuse is LIFO exactly as before.
+ * observer, which tracks the Full blocks GC picks victims from. Which
+ * free block a plane opens next is delegated to an optional
+ * WearLevelPolicy; without one, reuse is LIFO exactly as before.
  */
 
 #ifndef AERO_SSD_BLOCK_MANAGER_HH
@@ -30,7 +30,7 @@ class BlockManager
   public:
     explicit BlockManager(const SsdConfig &cfg);
 
-    /** Wire the victim-heap observer (FTL does this once at mount). */
+    /** Wire the line-manager observer (FTL does this once at mount). */
     void setLineManager(LineManager *lines_) { lines = lines_; }
 
     /** Wire the free-block selection policy (null = LIFO reuse). */

@@ -1,5 +1,8 @@
 #include "ssd/ftl.hh"
 
+#include <algorithm>
+#include <array>
+
 #include "common/logging.hh"
 #include "core/aero_scheme.hh"
 #include "ssd/geometry.hh"
@@ -18,6 +21,11 @@ Ftl::validated(SsdConfig cfg)
         geo.validateQueued();
     else
         geo.validate();
+    if (cfg.physicalPages() > kMaxPackedPages)
+        AERO_FATAL("geometry: ", cfg.physicalPages(),
+                   " physical pages do not fit a 32-bit PPN (at most ",
+                   kMaxPackedPages, "); the L2P/P2L tables pack every "
+                   "PPN into 32 bits");
     if (sloPolicyWeights(cfg.sloPolicy) &&
         cfg.arbitration != Arbitration::Queued)
         AERO_FATAL("SLO policy '", sloPolicyName(cfg.sloPolicy),
@@ -148,8 +156,26 @@ Ftl::warmup(std::uint64_t overwrites)
     if (span == 0)
         return;
     const int tries = cfg.totalChips() * cfg.geometry.planes;
+    // Each overwrite is a chain of dependent misses (L2P entry, then the
+    // old page's P2L entry) on tables far larger than the caches. So the
+    // LPN sequence is drawn kWarmupLookahead overwrites ahead of use, in
+    // the same order from the same private RNG; each LPN's L2P entry is
+    // prefetched when drawn and its current P2L entry halfway to use.
+    constexpr std::uint64_t window = kWarmupLookahead;
+    std::array<Lpn, window> ahead;
+    for (std::uint64_t i = 0; i < std::min(window, overwrites); ++i) {
+        ahead[i] = rng.below(span);
+        mapping.prefetch(ahead[i]);
+    }
     for (std::uint64_t i = 0; i < overwrites; ++i) {
-        const Lpn lpn = rng.below(span);
+        Lpn &slot = ahead[i % window];
+        const Lpn lpn = slot;
+        if (i + window < overwrites) {
+            slot = rng.below(span);
+            mapping.prefetch(slot);
+        }
+        if (i + window / 2 < overwrites)
+            mapping.prefetchReverse(ahead[(i + window / 2) % window]);
         bool placed = false;
         for (int t = 0; t < tries && !placed; ++t) {
             const int key = (writePointer + t) % tries;
@@ -173,13 +199,10 @@ Ftl::warmup(std::uint64_t overwrites)
 void
 Ftl::remap(Lpn lpn, Ppn ppn)
 {
-    const auto parts = mapping.decode(ppn);
-    const Ppn old = mapping.update(lpn, ppn);
-    lines->onPageMapped(parts.chip, parts.block);
-    if (old != kInvalidPpn) {
-        const auto prev = mapping.decode(old);
-        lines->onPageInvalidated(prev.chip, prev.block);
-    }
+    const PageMapping::Update u = mapping.update(lpn, ppn);
+    lines->onPageMapped(u.block);
+    if (u.old != kInvalidPpn)
+        lines->onPageInvalidated(u.oldBlock);
 }
 
 void
@@ -194,9 +217,18 @@ Ftl::functionalGc(int chip, int plane)
             cfg.geometry.pagesPerBlock) {
             return;  // nothing reclaimable yet: all pages still live
         }
-        for (int p = 0; p < cfg.geometry.pagesPerBlock; ++p) {
-            const Ppn ppn = mapping.encode(chip, victim, p);
-            const Lpn lpn = mapping.reverseLookup(ppn);
+        const int pages = cfg.geometry.pagesPerBlock;
+        const Ppn first = mapping.encode(chip, victim, 0);
+        for (int p = 0; p < pages; ++p) {
+            // Each relocation updates a random L2P entry: fetch the one
+            // kWarmupLookahead pages on while this one is relocated.
+            if (p + static_cast<int>(kWarmupLookahead) < pages) {
+                const Lpn next = mapping.reverseLookup(
+                    first + p + static_cast<int>(kWarmupLookahead));
+                if (next != kInvalidLpn)
+                    mapping.prefetch(next);
+            }
+            const Lpn lpn = mapping.reverseLookup(first + p);
             if (lpn == kInvalidLpn)
                 continue;
             // Relocate within the plane (other blocks have room: the

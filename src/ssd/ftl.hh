@@ -44,6 +44,12 @@ class Ftl : public FtlCallbacks
      */
     void warmup(std::uint64_t overwrites);
 
+    /**
+     * How far ahead warmup() draws its LPN sequence (in overwrites) and
+     * its inline GC reads relocation sources (in pages), to prefetch.
+     */
+    static constexpr std::uint64_t kWarmupLookahead = 32;
+
     std::uint64_t warmupErases() const { return warmupEraseCount; }
 
     /** Submit one trace record at the current simulation time. */

@@ -2,14 +2,12 @@
  * @file
  * Garbage-collection victim selection behind a scoring-policy interface.
  *
- * Since PR 8 a policy no longer scans the plane itself: the LineManager
- * (ssd/line_manager.hh) keeps every Full block in a per-plane priority
- * queue keyed by the policy's score and updates it in O(log n) on each
- * page invalidation, so victim selection is a heap peek instead of the
- * old O(blocks) rescan. Policies therefore only define an ordering:
- * score() (lower is better) plus a tieBreak() key, with the block id as
- * the final tie-breaker so the order is total and selection is
- * deterministic.
+ * A policy does not scan the plane itself: the LineManager
+ * (ssd/line_manager.hh) tracks which blocks are Full and scans them at
+ * pick time, asking the policy for each one's key. Policies therefore
+ * only define an ordering: score() (lower is better) plus a tieBreak()
+ * key, with the block id as the final tie-breaker so the order is total
+ * and selection is deterministic.
  *
  * Registered policies:
  *  - greedy:       fewest valid pages (the paper's Table 2 policy [77]);

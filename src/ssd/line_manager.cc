@@ -13,19 +13,8 @@ LineManager::LineManager(const SsdConfig &cfg, const GcPolicy &policy_,
       pagesPerBlock(cfg.geometry.pagesPerBlock), policy(policy_),
       blocks(blocks_),
       lines(static_cast<std::size_t>(numChips) * planesPerChip *
-            blocksPerPlane),
-      heaps(static_cast<std::size_t>(numChips) * planesPerChip)
+            blocksPerPlane)
 {
-}
-
-bool
-LineManager::less(const Key &a, const Key &b)
-{
-    if (a.score != b.score)
-        return a.score < b.score;
-    if (a.tie != b.tie)
-        return a.tie < b.tie;
-    return a.block < b.block;
 }
 
 std::size_t
@@ -38,11 +27,12 @@ LineManager::blockIndex(int chip, BlockId block) const
            block;
 }
 
-std::size_t
-LineManager::planeIndex(int chip, int plane) const
+LineManager::Line &
+LineManager::lineAt(std::size_t flat_block)
 {
-    AERO_CHECK(plane >= 0 && plane < planesPerChip, "plane out of range");
-    return static_cast<std::size_t>(chip) * planesPerChip + plane;
+    AERO_CHECK(flat_block < lines.size(), "flat block out of range: ",
+               flat_block);
+    return lines[flat_block];
 }
 
 GcLineInfo
@@ -58,85 +48,11 @@ LineManager::lineInfo(int chip, BlockId block) const
     return info;
 }
 
-LineManager::Key
-LineManager::keyFor(int chip, BlockId block) const
-{
-    const GcLineInfo info = lineInfo(chip, block);
-    return Key{policy.score(info), policy.tieBreak(info), block};
-}
-
-void
-LineManager::siftUp(PlaneHeap &heap, int chip, std::size_t pos)
-{
-    auto &h = heap.entries;
-    while (pos > 0) {
-        const std::size_t parent = (pos - 1) / 2;
-        if (!less(h[pos], h[parent]))
-            break;
-        std::swap(h[pos], h[parent]);
-        lines[blockIndex(chip, h[pos].block)].pos = pos;
-        lines[blockIndex(chip, h[parent].block)].pos = parent;
-        pos = parent;
-    }
-}
-
-void
-LineManager::siftDown(PlaneHeap &heap, int chip, std::size_t pos)
-{
-    auto &h = heap.entries;
-    const std::size_t n = h.size();
-    for (;;) {
-        std::size_t best = pos;
-        const std::size_t left = 2 * pos + 1;
-        const std::size_t right = left + 1;
-        if (left < n && less(h[left], h[best]))
-            best = left;
-        if (right < n && less(h[right], h[best]))
-            best = right;
-        if (best == pos)
-            return;
-        std::swap(h[pos], h[best]);
-        lines[blockIndex(chip, h[pos].block)].pos = pos;
-        lines[blockIndex(chip, h[best].block)].pos = best;
-        pos = best;
-    }
-}
-
-void
-LineManager::heapRemove(PlaneHeap &heap, int chip, std::size_t pos)
-{
-    auto &h = heap.entries;
-    lines[blockIndex(chip, h[pos].block)].pos = kNoPos;
-    const std::size_t last = h.size() - 1;
-    if (pos != last) {
-        h[pos] = h[last];
-        lines[blockIndex(chip, h[pos].block)].pos = pos;
-    }
-    h.pop_back();
-    if (pos < h.size()) {
-        siftUp(heap, chip, pos);
-        siftDown(heap, chip, pos);
-    }
-}
-
-void
-LineManager::reposition(int chip, BlockId block)
-{
-    Line &line = lines[blockIndex(chip, block)];
-    if (line.pos == kNoPos)
-        return;
-    const int plane = static_cast<int>(block) / blocksPerPlane;
-    PlaneHeap &heap = heaps[planeIndex(chip, plane)];
-    heap.entries[line.pos] = keyFor(chip, block);
-    siftUp(heap, chip, line.pos);
-    siftDown(heap, chip, line.pos);
-}
-
 void
 LineManager::onBlockOpened(int chip, BlockId block)
 {
     Line &line = lines[blockIndex(chip, block)];
-    AERO_CHECK(line.pos == kNoPos, "opened block still in victim heap");
+    AERO_CHECK(!line.full, "opened block is still Full");
     line.openSeq = nextOpenSeq++;
 }
 
@@ -144,12 +60,8 @@ void
 LineManager::onBlockFull(int chip, BlockId block)
 {
     Line &line = lines[blockIndex(chip, block)];
-    AERO_CHECK(line.pos == kNoPos, "full block already in victim heap");
-    const int plane = static_cast<int>(block) / blocksPerPlane;
-    PlaneHeap &heap = heaps[planeIndex(chip, plane)];
-    heap.entries.push_back(keyFor(chip, block));
-    line.pos = heap.entries.size() - 1;
-    siftUp(heap, chip, line.pos);
+    AERO_CHECK(!line.full, "block filled twice");
+    line.full = true;
 }
 
 void
@@ -158,53 +70,48 @@ LineManager::onBlockErased(int chip, BlockId block)
     Line &line = lines[blockIndex(chip, block)];
     AERO_CHECK(line.valid == 0, "erased block still has ", line.valid,
                " valid pages tracked");
-    if (line.pos != kNoPos) {
-        const int plane = static_cast<int>(block) / blocksPerPlane;
-        heapRemove(heaps[planeIndex(chip, plane)], chip, line.pos);
-    }
+    line.full = false;
     line.openSeq = 0;
 }
 
 void
-LineManager::onPageMapped(int chip, BlockId block)
+LineManager::onPageMapped(std::size_t flat_block)
 {
-    Line &line = lines[blockIndex(chip, block)];
+    Line &line = lineAt(flat_block);
     line.valid += 1;
     AERO_CHECK(line.valid <= pagesPerBlock, "valid pages overflow block");
-    reposition(chip, block);
 }
 
 void
-LineManager::onPageInvalidated(int chip, BlockId block)
+LineManager::onPageInvalidated(std::size_t flat_block)
 {
-    Line &line = lines[blockIndex(chip, block)];
-    AERO_CHECK(line.valid > 0, "invalidation underflow on block ", block);
+    Line &line = lineAt(flat_block);
+    AERO_CHECK(line.valid > 0, "invalidation underflow on flat block ",
+               flat_block);
     line.valid -= 1;
-    reposition(chip, block);
 }
 
 BlockId
 LineManager::pickVictim(int chip, int plane) const
 {
-    const PlaneHeap &heap = heaps[planeIndex(chip, plane)];
-    if (heap.entries.empty())
-        return kInvalidBlock;
-    return heap.entries.front().block;
-}
-
-BlockId
-LineManager::bruteForceVictim(int chip, int plane) const
-{
-    const PlaneHeap &heap = heaps[planeIndex(chip, plane)];
+    AERO_CHECK(plane >= 0 && plane < planesPerChip, "plane out of range");
     BlockId best = kInvalidBlock;
-    Key best_key;
-    for (const Key &stored : heap.entries) {
-        // Re-derive the key from current state rather than trusting the
-        // stored copy: the whole point is to catch a stale heap.
-        const Key key = keyFor(chip, stored.block);
-        if (best == kInvalidBlock || less(key, best_key)) {
-            best = stored.block;
-            best_key = key;
+    double best_score = 0.0;
+    std::uint64_t best_tie = 0;
+    // Ascending block ids, so a later block wins only on a strictly
+    // lower (score, tieBreak): the block id is the final tie-breaker.
+    const BlockId lo = static_cast<BlockId>(plane) * blocksPerPlane;
+    for (BlockId b = lo; b < lo + static_cast<BlockId>(blocksPerPlane); ++b) {
+        if (!lines[blockIndex(chip, b)].full)
+            continue;
+        const GcLineInfo info = lineInfo(chip, b);
+        const double score = policy.score(info);
+        const std::uint64_t tie = policy.tieBreak(info);
+        if (best == kInvalidBlock || score < best_score ||
+            (score == best_score && tie < best_tie)) {
+            best = b;
+            best_score = score;
+            best_tie = tie;
         }
     }
     return best;
@@ -213,19 +120,14 @@ LineManager::bruteForceVictim(int chip, int plane) const
 std::vector<BlockId>
 LineManager::fullBlocks(int chip, int plane) const
 {
+    AERO_CHECK(plane >= 0 && plane < planesPerChip, "plane out of range");
     std::vector<BlockId> out;
     const BlockId lo = static_cast<BlockId>(plane) * blocksPerPlane;
     for (BlockId b = lo; b < lo + static_cast<BlockId>(blocksPerPlane); ++b) {
-        if (lines[blockIndex(chip, b)].pos != kNoPos)
+        if (lines[blockIndex(chip, b)].full)
             out.push_back(b);
     }
     return out;
-}
-
-std::size_t
-LineManager::fullCount(int chip, int plane) const
-{
-    return heaps[planeIndex(chip, plane)].entries.size();
 }
 
 int

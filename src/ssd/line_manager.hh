@@ -1,13 +1,12 @@
 /**
  * @file
- * FEMU-style line manager: tracks every block's fill generation and
- * valid-page count, and keeps the Full blocks of each plane in an
- * indexed min-heap (FEMU's `victim_line_pq`) keyed by the GC policy's
- * (score, tieBreak, block) order. The heap is updated incrementally —
- * O(log n) on block-full, page-invalidation, remap and erase events — so
- * victim selection is a peek instead of the O(blocks) plane rescan it
- * replaced. bruteForceVictim() re-derives the winner by rescanning and
- * exists for the randomized differential tests.
+ * FEMU-style line manager: tracks every block's fill generation, valid-
+ * page count and Full state. Valid-count deltas are plain counter
+ * updates; pickVictim() scans the plane's Full blocks for the least
+ * (score, tieBreak, block) under the GC policy. That order is strict and
+ * total, so the scan returns exactly the block an incrementally re-keyed
+ * victim heap would, without re-keying on every one of the millions of
+ * invalidations whose result only the rare victim picks read.
  *
  * The manager learns structural transitions (open/full/erase) from
  * BlockManager's observer hooks and valid-count changes from the FTL's
@@ -42,22 +41,21 @@ class LineManager
     void onBlockErased(int chip, BlockId block);
     /** @} */
 
-    /** @name Valid-count deltas (FTL remap path) */
+    /**
+     * @name Valid-count deltas (FTL remap path)
+     * Keyed by the flat block index chip * blocksPerChip + block that
+     * PageMapping::update() reports.
+     */
     /** @{ */
-    void onPageMapped(int chip, BlockId block);
-    void onPageInvalidated(int chip, BlockId block);
+    void onPageMapped(std::size_t flat_block);
+    void onPageInvalidated(std::size_t flat_block);
     /** @} */
 
     /** Best victim of the plane, kInvalidBlock when no block is Full. */
     BlockId pickVictim(int chip, int plane) const;
 
-    /** O(blocks) rescan over the heap members (differential testing). */
-    BlockId bruteForceVictim(int chip, int plane) const;
-
     /** Full blocks currently victim candidates, ascending block id. */
     std::vector<BlockId> fullBlocks(int chip, int plane) const;
-
-    std::size_t fullCount(int chip, int plane) const;
 
     /** Valid pages as this manager tracks them (tests cross-check). */
     int trackedValid(int chip, BlockId block) const;
@@ -66,38 +64,15 @@ class LineManager
     GcLineInfo lineInfo(int chip, BlockId block) const;
 
   private:
-    /** Heap key; lexicographic (score, tie, block), lower wins. */
-    struct Key
-    {
-        double score = 0.0;
-        std::uint64_t tie = 0;
-        BlockId block = kInvalidBlock;
-    };
-
     struct Line
     {
         int valid = 0;
+        bool full = false;
         std::uint64_t openSeq = 0;
-        std::size_t pos = kNoPos;  //!< index in the plane heap, or kNoPos
     };
-
-    struct PlaneHeap
-    {
-        std::vector<Key> entries;
-    };
-
-    static constexpr std::size_t kNoPos = ~static_cast<std::size_t>(0);
-
-    static bool less(const Key &a, const Key &b);
 
     std::size_t blockIndex(int chip, BlockId block) const;
-    std::size_t planeIndex(int chip, int plane) const;
-    Key keyFor(int chip, BlockId block) const;
-    void siftUp(PlaneHeap &heap, int chip, std::size_t pos);
-    void siftDown(PlaneHeap &heap, int chip, std::size_t pos);
-    void heapRemove(PlaneHeap &heap, int chip, std::size_t pos);
-    /** Re-key `block` and restore heap order (no-op when not Full). */
-    void reposition(int chip, BlockId block);
+    Line &lineAt(std::size_t flat_block);
 
     int numChips;
     int planesPerChip;
@@ -106,7 +81,6 @@ class LineManager
     const GcPolicy &policy;
     const BlockManager &blocks;
     std::vector<Line> lines;        //!< per (chip, chip-local block)
-    std::vector<PlaneHeap> heaps;   //!< per (chip, plane)
     std::uint64_t nextOpenSeq = 1;  //!< 0 means "never opened"
 };
 

@@ -13,8 +13,10 @@
 #   * the tagged-vs-legacy speedups are gated through their threshold
 #     booleans (summary.speedup_headline_ge_1_5, .speedup_all_ge_1_2),
 #     which compare exactly: the legacy reference is re-measured in the
-#     same run, so a genuine >30% kernel regression flips a boolean on
-#     any machine, while machine-to-machine ratio noise cannot;
+#     same run, interleaved with the tagged kernel as ABAB trial pairs,
+#     and each speedup is the median of the per-pair ratios, so a
+#     genuine >30% kernel regression flips a boolean on any machine,
+#     while machine-to-machine ratio noise and transient load cannot;
 #   * machine-absolute rates (mevents_per_sec, requests_per_sec,
 #     ns_per_erase_step) and the raw speedup ratios are recorded for
 #     trajectory plots but ignored by the diff.

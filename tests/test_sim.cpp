@@ -249,7 +249,7 @@ TEST(Mapping, UpdateAndLookupRoundTrip)
     PageMapping m(64, 2, 4, 8);
     EXPECT_EQ(m.lookup(0), kInvalidPpn);
     const Ppn ppn = m.encode(1, 2, 3);
-    EXPECT_EQ(m.update(7, ppn), kInvalidPpn);
+    EXPECT_EQ(m.update(7, ppn).old, kInvalidPpn);
     EXPECT_EQ(m.lookup(7), ppn);
     EXPECT_EQ(m.reverseLookup(ppn), 7u);
     EXPECT_EQ(m.mappedCount(), 1u);
@@ -266,7 +266,7 @@ TEST(Mapping, OverwriteInvalidatesOldLocation)
     const Ppn b = m.encode(1, 3, 5);
     m.update(9, a);
     EXPECT_EQ(m.validPages(0, 1), 1);
-    EXPECT_EQ(m.update(9, b), a);
+    EXPECT_EQ(m.update(9, b).old, a);
     EXPECT_EQ(m.reverseLookup(a), kInvalidLpn);
     EXPECT_EQ(m.validPages(0, 1), 0);
     EXPECT_EQ(m.validPages(1, 3), 1);
@@ -289,6 +289,13 @@ TEST(Mapping, EraseRequiresNoValidPages)
     m.invalidateLpn(3);
     m.onBlockErased(0, 2);  // now fine
     EXPECT_EQ(m.validPages(0, 2), 0);
+}
+
+TEST(Mapping, PhysicalSpaceBeyond32BitPpnPanics)
+{
+    // 2^32 - 1 pages would need the all-ones invalid sentinel as a PPN.
+    EXPECT_DEATH(PageMapping(1, 15, 4369, 65537),
+                 "exceeds the packed 32-bit PPN range");
 }
 
 TEST(Mapping, EncodeDecodeExhaustive)

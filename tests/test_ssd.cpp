@@ -183,6 +183,66 @@ TEST(Ssd, ConfigSummaryMentionsScheme)
     EXPECT_LT(cfg.logicalPages(), cfg.physicalPages());
 }
 
+/** FNV-1a over every L2P entry: the whole mapping in one value. */
+std::uint64_t
+mappingFingerprint(const PageMapping &m)
+{
+    std::uint64_t h = 1469598103934665603ULL;
+    for (Lpn lpn = 0; lpn < m.logicalPages(); ++lpn) {
+        h ^= m.lookup(lpn);
+        h *= 1099511628211ULL;
+    }
+    return h;
+}
+
+// warmup() draws its LPN sequence kWarmupLookahead overwrites ahead of
+// use. Around that window (none, one, window-1/window/window+1 draws) and
+// over a GC-heavy run, the erases and the final mapping must equal the
+// values pinned before the lookahead existed.
+TEST(SsdWarmup, LookaheadEdgesReproduceTheSequentialDraws)
+{
+    static_assert(Ftl::kWarmupLookahead == 32,
+                  "the pinned counts straddle a 32-overwrite window");
+    struct Pin
+    {
+        std::uint64_t overwrites;
+        std::uint64_t erases;
+        std::uint64_t fingerprint;
+    };
+    const Pin pins[] = {
+        {0, 0, 0x13b315079ccd8ec5ULL},
+        {1, 0, 0xcc0aed8e994afa28ULL},
+        {31, 0, 0x8fde81a418bed682ULL},
+        {32, 0, 0x2e03ccfd89eb9bb7ULL},
+        {33, 0, 0x22091f0392a9a28eULL},
+        {5000, 343, 0xf49f05fa86a31831ULL},
+    };
+    for (const Pin &pin : pins) {
+        SCOPED_TRACE(pin.overwrites);
+        EventQueue eq;
+        Ftl ftl(SsdConfig::tiny(), eq);
+        ftl.prefill();
+        ftl.warmup(pin.overwrites);
+        EXPECT_EQ(ftl.warmupErases(), pin.erases);
+        EXPECT_EQ(mappingFingerprint(ftl.pageMapping()), pin.fingerprint);
+    }
+}
+
+// 15 chips x 4369 blocks x 65537 pages is exactly 2^32 - 1 physical
+// pages: one too many for a 32-bit PPN next to its invalid sentinel.
+// Ftl::validated must refuse it before any member sizes a table.
+TEST(FtlDeathTest, GeometryBeyond32BitPpnDiesBeforeAllocating)
+{
+    SsdConfig cfg = SsdConfig::tiny();
+    cfg.channels = 15;
+    cfg.chipsPerChannel = 1;
+    cfg.geometry = ChipGeometry{1, 4369, 65537};
+    ASSERT_EQ(cfg.physicalPages(), 0xFFFFFFFFULL);
+    EventQueue eq;
+    EXPECT_DEATH({ Ftl ftl(cfg, eq); },
+                 "4294967295 physical pages do not fit a 32-bit PPN");
+}
+
 TEST(SimStudy, RunSimPointProducesConsistentResult)
 {
     SimPoint pt;
