@@ -126,7 +126,8 @@ BM_MappingUpdate(benchmark::State &state)
     const Ppn max_ppn = static_cast<Ppn>(4) * 256 * 64;
     for (auto _ : state) {
         m.invalidateLpn(lpn);
-        benchmark::DoNotOptimize(m.update(lpn, ppn));
+        m.update(lpn, ppn);
+        benchmark::ClobberMemory();
         lpn = (lpn + 1) % (1 << 16);
         ppn = (ppn + 1) % max_ppn;
     }

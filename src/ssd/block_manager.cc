@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.hh"
-#include "ssd/line_manager.hh"
 #include "ssd/wear_level.hh"
 
 namespace aero
@@ -17,7 +16,7 @@ BlockManager::BlockManager(const SsdConfig &cfg)
       blockStates(static_cast<std::size_t>(numChips) * planesPerChip *
                       blocksPerPlane,
                   BlockState::Free),
-      eraseCounts(blockStates.size(), 0)
+      eraseCounts(blockStates.size(), 0), openSeqs(blockStates.size(), 0)
 {
     for (int c = 0; c < numChips; ++c) {
         for (int p = 0; p < planesPerChip; ++p) {
@@ -54,6 +53,12 @@ BlockManager::state(int chip, BlockId block) const
     return blockStates[blockIndex(chip, block)];
 }
 
+std::uint64_t
+BlockManager::openSeq(int chip, BlockId block) const
+{
+    return openSeqs[blockIndex(chip, block)];
+}
+
 BlockId
 BlockManager::takeFreeBlock(int chip, Plane &ps)
 {
@@ -85,16 +90,19 @@ BlockManager::allocate(int chip, int plane, BlockId &block, int &page,
             return false;
         open = takeFreeBlock(chip, ps);
         cursor = 0;
-        blockStates[blockIndex(chip, open)] = BlockState::Open;
-        if (lines)
-            lines->onBlockOpened(chip, open);
+        const std::size_t idx = blockIndex(chip, open);
+        AERO_CHECK(blockStates[idx] == BlockState::Free,
+                   "opened block was not in Free state");
+        blockStates[idx] = BlockState::Open;
+        openSeqs[idx] = nextOpenSeq++;
     }
     block = open;
     page = cursor++;
     if (cursor == pagesPerBlock) {
-        blockStates[blockIndex(chip, open)] = BlockState::Full;
-        if (lines)
-            lines->onBlockFull(chip, open);
+        auto &st = blockStates[blockIndex(chip, open)];
+        AERO_CHECK(st == BlockState::Open,
+                   "filled block was not in Open state");
+        st = BlockState::Full;
         open = kInvalidBlock;
         cursor = 0;
     }
@@ -112,14 +120,13 @@ BlockManager::openPageCursor(int chip, int plane) const
 void
 BlockManager::onBlockErased(int chip, BlockId block)
 {
-    auto &st = blockStates[blockIndex(chip, block)];
-    AERO_CHECK(st == BlockState::Full,
+    const std::size_t idx = blockIndex(chip, block);
+    AERO_CHECK(blockStates[idx] == BlockState::Full,
                "erased block was not in Full state");
-    st = BlockState::Free;
-    eraseCounts[blockIndex(chip, block)] += 1;
+    blockStates[idx] = BlockState::Free;
+    eraseCounts[idx] += 1;
+    openSeqs[idx] = 0;
     totalEraseCount += 1;
-    if (lines)
-        lines->onBlockErased(chip, block);
     const int plane = planeOf(block);
     planesState[planeIndex(chip, plane)].freeList.push_back(block);
 }
@@ -175,6 +182,7 @@ BlockManager::planeIndex(int chip, int plane) const
 std::size_t
 BlockManager::blockIndex(int chip, BlockId block) const
 {
+    AERO_CHECK(chip >= 0 && chip < numChips, "chip out of range");
     AERO_CHECK(block < static_cast<BlockId>(planesPerChip * blocksPerPlane),
                "block out of range");
     return static_cast<std::size_t>(chip) * planesPerChip * blocksPerPlane +

@@ -3,11 +3,12 @@
  * Physical block allocation: per-(chip, plane) free pools and open write
  * points. Blocks move Free -> Open -> Full -> (GC erase) -> Free.
  *
- * The manager also owns wear accounting (per-block erase counts since
- * mount) and reports structural transitions to an optional LineManager
- * observer, which tracks the Full blocks GC picks victims from. Which
- * free block a plane opens next is delegated to an optional
- * WearLevelPolicy; without one, reuse is LIFO exactly as before.
+ * The manager owns every per-block fact but the valid-page count (which
+ * PageMapping owns): the block state, wear accounting (erase counts
+ * since mount) and the fill stamp GC policies order the log by. GC picks
+ * victims by scanning these (GcPolicy::pickVictim). Which free block a
+ * plane opens next is delegated to an optional WearLevelPolicy; without
+ * one, reuse is LIFO exactly as before.
  */
 
 #ifndef AERO_SSD_BLOCK_MANAGER_HH
@@ -20,7 +21,6 @@
 namespace aero
 {
 
-class LineManager;
 class WearLevelPolicy;
 
 enum class BlockState : std::uint8_t { Free, Open, Full };
@@ -29,9 +29,6 @@ class BlockManager
 {
   public:
     explicit BlockManager(const SsdConfig &cfg);
-
-    /** Wire the line-manager observer (FTL does this once at mount). */
-    void setLineManager(LineManager *lines_) { lines = lines_; }
 
     /** Wire the free-block selection policy (null = LIFO reuse). */
     void setWearPolicy(const WearLevelPolicy *policy) { wearPolicy = policy; }
@@ -45,6 +42,14 @@ class BlockManager
     int minFreeBlocks(int chip) const;
 
     BlockState state(int chip, BlockId block) const;
+
+    /**
+     * Drive-wide stamp of the block's current fill: allocate() numbers
+     * the blocks it opens 1, 2, 3, ... and an erase resets the stamp to
+     * 0 ("never opened"), so the stamp survives reuse cycles where the
+     * block id does not.
+     */
+    std::uint64_t openSeq(int chip, BlockId block) const;
 
     /**
      * Allocate the next page of the open block of (chip, plane), opening
@@ -80,6 +85,7 @@ class BlockManager
 
     int chips() const { return numChips; }
     int planes() const { return planesPerChip; }
+    int pagesInBlock() const { return pagesPerBlock; }
 
   private:
     struct Plane
@@ -104,8 +110,9 @@ class BlockManager
     std::vector<Plane> planesState;
     std::vector<BlockState> blockStates;
     std::vector<std::uint64_t> eraseCounts;  //!< per (chip, block)
+    std::vector<std::uint64_t> openSeqs;     //!< per (chip, block)
+    std::uint64_t nextOpenSeq = 1;           //!< 0 means "never opened"
     std::uint64_t totalEraseCount = 0;
-    LineManager *lines = nullptr;
     const WearLevelPolicy *wearPolicy = nullptr;
 };
 

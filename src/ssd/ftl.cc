@@ -75,8 +75,6 @@ Ftl::Ftl(const SsdConfig &cfg_, EventQueue &eq_)
                   cfg.geometry.planes);
     gcPolicy = makeGcPolicy(cfg.gcPolicy);
     wlPolicy = makeWearLevelPolicy(cfg.wearLevel);
-    lines = std::make_unique<LineManager>(cfg, *gcPolicy, blocks);
-    blocks.setLineManager(lines.get());
     blocks.setWearPolicy(wlPolicy.get());
     burstTouched.assign(cfg.totalChips(), 0);
     burstChips.reserve(cfg.totalChips());
@@ -135,7 +133,7 @@ Ftl::prefill()
             int page;
             if (!blocks.allocate(chip, plane, blk, page))
                 continue;
-            remap(lpn, mapping.encode(chip, blk, page));
+            mapping.update(lpn, mapping.encode(chip, blk, page));
             chips[chip].programPage(blk);
             placed = true;
             writePointer = (key + 1) % tries;
@@ -186,7 +184,7 @@ Ftl::warmup(std::uint64_t overwrites)
             if (!blocks.allocate(chip, plane, blk, page))
                 continue;
             writePointer = (key + 1) % tries;
-            remap(lpn, mapping.encode(chip, blk, page));
+            mapping.update(lpn, mapping.encode(chip, blk, page));
             chips[chip].programPage(blk);
             placed = true;
             if (blocks.freeBlocks(chip, plane) <= cfg.gcLowWatermark)
@@ -197,20 +195,12 @@ Ftl::warmup(std::uint64_t overwrites)
 }
 
 void
-Ftl::remap(Lpn lpn, Ppn ppn)
-{
-    const PageMapping::Update u = mapping.update(lpn, ppn);
-    lines->onPageMapped(u.block);
-    if (u.old != kInvalidPpn)
-        lines->onPageInvalidated(u.oldBlock);
-}
-
-void
 Ftl::functionalGc(int chip, int plane)
 {
     // Inline, timing-free GC used only during warmup.
     while (blocks.freeBlocks(chip, plane) <= cfg.gcLowWatermark) {
-        const BlockId victim = lines->pickVictim(chip, plane);
+        const BlockId victim =
+            gcPolicy->pickVictim(chip, plane, blocks, mapping);
         if (victim == kInvalidBlock)
             return;
         if (mapping.validPages(chip, victim) >=
@@ -238,7 +228,7 @@ Ftl::functionalGc(int chip, int plane)
             bool ok = blocks.allocate(chip, plane, dst, dpage, true);
             AERO_CHECK(ok && dst != victim,
                        "warmup GC ran out of destination space");
-            remap(lpn, mapping.encode(chip, dst, dpage));
+            mapping.update(lpn, mapping.encode(chip, dst, dpage));
             chips[chip].programPage(dst);
         }
         eraseNow(*schemes[chip], victim);
@@ -332,7 +322,7 @@ Ftl::submitWritePage(Lpn lpn, std::uint64_t request_id, TenantId tenant)
             continue;
         writePointer = (key + 1) % tries;
         const Ppn ppn = mapping.encode(chip, blk, page);
-        remap(lpn, ppn);
+        mapping.update(lpn, ppn);
         chips[chip].programPage(blk);  // functional effect at issue
         PageOp op;
         op.kind = PageOp::Kind::UserWrite;
@@ -432,7 +422,7 @@ Ftl::issueGcWrite(GcJob *job, Lpn lpn)
         if (!blocks.allocate(chip, plane, blk, page, true))
             continue;
         const Ppn ppn = mapping.encode(chip, blk, page);
-        remap(lpn, ppn);
+        mapping.update(lpn, ppn);
         chips[chip].programPage(blk);
         PageOp op;
         op.kind = PageOp::Kind::GcWrite;
@@ -454,7 +444,8 @@ Ftl::maybeStartGc(int chip, int plane)
     auto &slot = gcJobs[planeKey(chip, plane)];
     if (slot)
         return;  // a job is already running on this plane
-    const BlockId victim = lines->pickVictim(chip, plane);
+    const BlockId victim =
+        gcPolicy->pickVictim(chip, plane, blocks, mapping);
     if (victim == kInvalidBlock)
         return;
     slot = std::make_unique<GcJob>();

@@ -17,7 +17,7 @@
 
 #include "ssd/block_manager.hh"
 #include "ssd/chip_agent.hh"
-#include "ssd/line_manager.hh"
+#include "ssd/gc.hh"
 #include "ssd/mapping.hh"
 #include "ssd/wear_level.hh"
 #include "workload/trace.hh"
@@ -65,7 +65,6 @@ class Ftl : public FtlCallbacks
     ChipAgent &agentAt(int i);
     const PageMapping &pageMapping() const { return mapping; }
     const BlockManager &blockManager() const { return blocks; }
-    const LineManager &lineManager() const { return *lines; }
 
     /** @name FtlCallbacks */
     /** @{ */
@@ -102,8 +101,6 @@ class Ftl : public FtlCallbacks
     void flushReadBurst();
     /** @return false if no plane had space (write stalled). */
     bool submitWritePage(Lpn lpn, std::uint64_t request_id, TenantId tenant);
-    /** Map lpn -> ppn and mirror both deltas into the line manager. */
-    void remap(Lpn lpn, Ppn ppn);
     void functionalGc(int chip, int plane);
     void issueGcWrite(GcJob *job, Lpn lpn);
     void completeRequestPage(std::uint64_t request_id);
@@ -127,7 +124,6 @@ class Ftl : public FtlCallbacks
     SsdMetrics stats;
     std::unique_ptr<GcPolicy> gcPolicy;
     std::unique_ptr<WearLevelPolicy> wlPolicy;
-    std::unique_ptr<LineManager> lines;
 
     /** @name Read-burst admission scratch (see flushReadBurst) */
     /** @{ */

@@ -2,12 +2,15 @@
  * @file
  * Garbage-collection victim selection behind a scoring-policy interface.
  *
- * A policy does not scan the plane itself: the LineManager
- * (ssd/line_manager.hh) tracks which blocks are Full and scans them at
- * pick time, asking the policy for each one's key. Policies therefore
- * only define an ordering: score() (lower is better) plus a tieBreak()
- * key, with the block id as the final tie-breaker so the order is total
- * and selection is deterministic.
+ * Each per-block fact a policy scores by has one owner: PageMapping owns
+ * valid-page counts, BlockManager the block state, erase counts and fill
+ * stamps. pickVictim() scans the plane's Full blocks at pick time and
+ * asks the policy for each one's key, so policies only define an
+ * ordering: score() (lower is better) plus a tieBreak() key, with the
+ * block id as the final tie-breaker so the order is total and selection
+ * is deterministic. Scanning at pick time keeps the per-overwrite path
+ * at one mapping update: nothing re-keys on the millions of
+ * invalidations whose result only the rare victim picks read.
  *
  * Registered policies:
  *  - greedy:       fewest valid pages (the paper's Table 2 policy [77]);
@@ -38,6 +41,9 @@
 
 namespace aero
 {
+
+class BlockManager;
+class PageMapping;
 
 /** One in-flight GC (or wear-leveling) operation on a plane. */
 struct GcJob
@@ -82,6 +88,13 @@ class GcPolicy
 
     /** Stable registry name ("greedy", "cost-benefit", "fifo-log"). */
     virtual const char *name() const = 0;
+
+    /**
+     * The plane's Full block with the least (score, tieBreak, block),
+     * or kInvalidBlock when no block of the plane is Full.
+     */
+    BlockId pickVictim(int chip, int plane, const BlockManager &blocks,
+                       const PageMapping &mapping) const;
 };
 
 /** Fewest valid pages; ties fall to the lowest block id. */

@@ -85,29 +85,28 @@ PageMapping::reverseLookup(Ppn ppn) const
     return lpn == kNone ? kInvalidLpn : lpn;
 }
 
-PageMapping::Update
+void
 PageMapping::update(Lpn lpn, Ppn ppn)
 {
     AERO_CHECK(lpn < l2p.size, "LPN out of range: ", lpn);
     AERO_CHECK(ppn < p2l.size, "PPN out of range: ", ppn);
     AERO_CHECK(p2l[ppn] == kNone,
                "programming a PPN that is still mapped: ", ppn);
-    Update out;
     const Entry old = l2p[lpn];
     if (old != kNone) {
-        out.old = old;
-        out.oldBlock = flatBlock(old);
         p2l[old] = kNone;
-        validCount[out.oldBlock] -= 1;
-        AERO_CHECK(validCount[out.oldBlock] >= 0, "negative valid count");
+        auto &old_valid = validCount[flatBlock(old)];
+        old_valid -= 1;
+        AERO_CHECK(old_valid >= 0, "negative valid count");
     } else {
         ++mapped;
     }
     l2p[lpn] = static_cast<Entry>(ppn);
     p2l[ppn] = static_cast<Entry>(lpn);
-    out.block = flatBlock(ppn);
-    validCount[out.block] += 1;
-    return out;
+    auto &valid = validCount[flatBlock(ppn)];
+    valid += 1;
+    AERO_CHECK(valid <= static_cast<std::int32_t>(pagesPerBlock),
+               "valid pages overflow block");
 }
 
 void
@@ -118,7 +117,9 @@ PageMapping::invalidateLpn(Lpn lpn)
     if (old == kNone)
         return;
     p2l[old] = kNone;
-    validCount[flatBlock(old)] -= 1;
+    auto &old_valid = validCount[flatBlock(old)];
+    old_valid -= 1;
+    AERO_CHECK(old_valid >= 0, "negative valid count");
     l2p[lpn] = kNone;
     --mapped;
 }

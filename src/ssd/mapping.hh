@@ -7,7 +7,8 @@
  * A PPN encodes (chip, chip-local block, page):
  *   ppn = (chip * blocksPerChip + block) * pagesPerBlock + page,
  * so ppn / pagesPerBlock is the drive-wide flat block index
- * (chip * blocksPerChip + block) that per-block tables are keyed by.
+ * (chip * blocksPerChip + block) that the per-block valid-page counts
+ * are keyed by. The mapping is the only owner of those counts.
  *
  * L2P and P2L are flat FEMU-style `maptbl`/`rmap` arrays of packed 32-bit
  * entries; the API stays 64-bit (Lpn/Ppn, kInvalidLpn/kInvalidPpn) at the
@@ -44,14 +45,6 @@ constexpr std::uint64_t kMaxPackedPages = 0xFFFFFFFEULL;
 class PageMapping
 {
   public:
-    /** What one update() did, with the flat block indices it computed. */
-    struct Update
-    {
-        Ppn old = kInvalidPpn;          //!< invalidated PPN, or kInvalidPpn
-        std::uint32_t block = 0;        //!< flat block of the new PPN
-        std::uint32_t oldBlock = 0;     //!< flat block of `old`, if any
-    };
-
     PageMapping(std::uint64_t logical_pages, int chips, int blocks_per_chip,
                 int pages_per_block);
 
@@ -66,7 +59,7 @@ class PageMapping
     bool isValid(Ppn ppn) const { return reverseLookup(ppn) != kInvalidLpn; }
 
     /** Map `lpn` to `ppn`, invalidating any previous location. */
-    Update update(Lpn lpn, Ppn ppn);
+    void update(Lpn lpn, Ppn ppn);
 
     /** Drop the mapping of a logical page (TRIM). */
     void invalidateLpn(Lpn lpn);

@@ -1,12 +1,18 @@
 /**
  * @file
- * GC victim-selection battery (ssd/gc.hh + ssd/line_manager.hh): policy
- * scoring units, the name registry, the fifo-log reuse-cycle regression,
- * a randomized differential check of the line manager's victim scan
- * against an independent test-side oracle (10k sequences per registered
- * policy), and a 50k-op mixed host/GC/WL fuzz asserting mapping
- * bijectivity, free-page accounting and wear-count conservation after
- * every reclamation cycle.
+ * GC victim-selection battery (ssd/gc.hh): policy scoring units, the
+ * name registry, the fifo-log reuse-cycle regression, a randomized
+ * differential check of GcPolicy::pickVictim against an independent
+ * test-side oracle (10k sequences per registered policy), and a 50k-op
+ * mixed host/GC/WL fuzz asserting mapping bijectivity, valid-count and
+ * free-page accounting and wear-count conservation after every
+ * reclamation cycle.
+ *
+ * pickVictim reads each per-block fact from its one owner: valid counts
+ * from PageMapping, state, erase counts and fill stamps from
+ * BlockManager. The oracle takes valid counts from a P2L recount and
+ * fill stamps from the fixture's own record of the order it opened
+ * blocks in, and checks both owners against them.
  */
 
 #include <gtest/gtest.h>
@@ -23,7 +29,6 @@
 #include "ssd/block_manager.hh"
 #include "ssd/config.hh"
 #include "ssd/gc.hh"
-#include "ssd/line_manager.hh"
 #include "ssd/mapping.hh"
 #include "ssd/wear_level.hh"
 
@@ -96,50 +101,66 @@ TEST(GcPolicy, UnknownNameIsFatalAndListsChoices)
 }
 
 /**
- * A tiny drive's worth of BlockManager + LineManager + PageMapping wired
- * together the way the FTL wires them, with functional write/trim/GC
- * helpers mirroring Ftl::remap() and functionalGc().
+ * A tiny drive's worth of BlockManager + PageMapping wired together the
+ * way the FTL wires them, with functional write/trim/GC helpers
+ * mirroring the FTL's write path and functionalGc(). Every allocation
+ * goes through allocate(), which records the fill order itself: an
+ * allocation that returns page 0 just opened that block.
  */
 struct LineFixture
 {
     SsdConfig cfg;
     std::unique_ptr<GcPolicy> policy;
     BlockManager blocks;
-    LineManager lines;
     PageMapping mapping;
+    std::vector<std::uint64_t> fillStamp;  //!< per (chip, block)
+    std::uint64_t fills = 0;
     Lpn nextLpn = 0;
 
     explicit LineFixture(const std::string &policy_name = "greedy")
         : cfg(SsdConfig::tiny()), policy(makeGcPolicy(policy_name)),
-          blocks(cfg), lines(cfg, *policy, blocks),
+          blocks(cfg),
           mapping(cfg.logicalPages(), cfg.totalChips(), cfg.blocksPerChip(),
-                  cfg.geometry.pagesPerBlock)
+                  cfg.geometry.pagesPerBlock),
+          fillStamp(static_cast<std::size_t>(cfg.totalChips()) *
+                        cfg.blocksPerChip(),
+                    0)
     {
-        blocks.setLineManager(&lines);
     }
 
     int pagesPerBlock() const { return cfg.geometry.pagesPerBlock; }
 
-    /** chip * blocksPerChip + block, derived from decode(). */
-    std::size_t
-    flatBlock(Ppn ppn) const
+    /** The victim the policy picks from the owners' state. */
+    BlockId
+    pick(int chip, int plane) const
     {
-        const PpnParts parts = mapping.decode(ppn);
-        return static_cast<std::size_t>(parts.chip) * cfg.blocksPerChip() +
-               parts.block;
+        return policy->pickVictim(chip, plane, blocks, mapping);
     }
 
-    /** Mirror of Ftl::remap(): map and report both deltas to the lines. */
-    void
-    remap(Lpn lpn, Ppn ppn)
+    /** chip * blocksPerChip + block: the index of per-block tables. */
+    std::size_t
+    flat(int chip, BlockId block) const
     {
-        const PageMapping::Update u = mapping.update(lpn, ppn);
-        ASSERT_EQ(u.block, flatBlock(ppn));
-        lines.onPageMapped(u.block);
-        if (u.old != kInvalidPpn) {
-            ASSERT_EQ(u.oldBlock, flatBlock(u.old));
-            lines.onPageInvalidated(u.oldBlock);
-        }
+        return static_cast<std::size_t>(chip) * cfg.blocksPerChip() + block;
+    }
+
+    /** The fixture's own fill stamp of a block (1, 2, ... in open order). */
+    std::uint64_t
+    stampOf(int chip, BlockId block) const
+    {
+        return fillStamp[flat(chip, block)];
+    }
+
+    /** BlockManager::allocate, recording the blocks it opens. */
+    bool
+    allocate(int chip, int plane, BlockId &blk, int &page,
+             bool for_gc = false)
+    {
+        if (!blocks.allocate(chip, plane, blk, page, for_gc))
+            return false;
+        if (page == 0)
+            fillStamp[flat(chip, blk)] = ++fills;
+        return true;
     }
 
     /** @return false when the plane is out of user space. */
@@ -148,9 +169,9 @@ struct LineFixture
     {
         BlockId blk = kInvalidBlock;
         int page = 0;
-        if (!blocks.allocate(chip, plane, blk, page))
+        if (!allocate(chip, plane, blk, page))
             return false;
-        remap(lpn, mapping.encode(chip, blk, page));
+        mapping.update(lpn, mapping.encode(chip, blk, page));
         return true;
     }
 
@@ -161,21 +182,25 @@ struct LineFixture
         BlockId blk = kInvalidBlock;
         for (int i = 0; i < pagesPerBlock(); ++i) {
             int page = 0;
-            AERO_CHECK(blocks.allocate(chip, plane, blk, page),
+            AERO_CHECK(allocate(chip, plane, blk, page),
                        "fixture plane ran out of blocks");
-            remap(nextLpn++, mapping.encode(chip, blk, page));
+            mapping.update(nextLpn++, mapping.encode(chip, blk, page));
         }
         return blk;
     }
 
-    void
-    trim(Lpn lpn)
+    void trim(Lpn lpn) { mapping.invalidateLpn(lpn); }
+
+    /** Pages of a block the P2L table still names an owner for. */
+    int
+    liveP2lPages(int chip, BlockId block) const
     {
-        const Ppn old = mapping.lookup(lpn);
-        if (old == kInvalidPpn)
-            return;
-        mapping.invalidateLpn(lpn);
-        lines.onPageInvalidated(flatBlock(old));
+        int live = 0;
+        for (int page = 0; page < pagesPerBlock(); ++page) {
+            if (mapping.isValid(mapping.encode(chip, block, page)))
+                live += 1;
+        }
+        return live;
     }
 
     /** Functional GC: migrate every valid page off `victim`, erase it. */
@@ -190,9 +215,9 @@ struct LineFixture
                 continue;
             BlockId dst = kInvalidBlock;
             int dst_page = 0;
-            AERO_CHECK(blocks.allocate(chip, plane, dst, dst_page, true),
+            AERO_CHECK(allocate(chip, plane, dst, dst_page, true),
                        "GC found no relocation target");
-            remap(lpn, mapping.encode(chip, dst, dst_page));
+            mapping.update(lpn, mapping.encode(chip, dst, dst_page));
         }
         mapping.onBlockErased(chip, victim);
         blocks.onBlockErased(chip, victim);
@@ -200,30 +225,25 @@ struct LineFixture
 };
 
 /**
- * Test-side victim oracle, independent of LineManager::pickVictim: the
- * candidates are the BlockManager's Full blocks (which must match the
- * line manager's own list), valid counts come from the mapping and
- * erase counts from the BlockManager (each must match the line
- * manager's lineInfo), and the winner is the lexicographic minimum of
- * (score, tieBreak, block) under the fixture's policy. Only the fill
- * stamp has no second source.
+ * Test-side victim oracle, independent of GcPolicy::pickVictim: the
+ * candidates are the BlockManager's Full blocks, valid counts come from
+ * a P2L recount (which must match the mapping's count), fill stamps
+ * from the fixture's own record (which must match the BlockManager's
+ * openSeq), erase counts from the BlockManager, and the winner is the
+ * lexicographic minimum of (score, tieBreak, block) under the
+ * fixture's policy.
  */
 BlockId
 oracleVictim(const LineFixture &fx, int chip, int plane)
 {
-    const std::vector<BlockId> full = fx.blocks.fullBlocks(chip, plane);
-    EXPECT_EQ(full, fx.lines.fullBlocks(chip, plane));
     BlockId best = kInvalidBlock;
     std::tuple<double, std::uint64_t, BlockId> best_key;
-    for (const BlockId b : full) {
-        const GcLineInfo tracked = fx.lines.lineInfo(chip, b);
+    for (const BlockId b : fx.blocks.fullBlocks(chip, plane)) {
         const GcLineInfo info =
-            line(b, fx.mapping.validPages(chip, b), fx.pagesPerBlock(),
-                 tracked.openSeq, fx.blocks.eraseCount(chip, b));
-        EXPECT_EQ(tracked.block, b);
-        EXPECT_EQ(tracked.validPages, info.validPages);
-        EXPECT_EQ(tracked.pagesPerBlock, info.pagesPerBlock);
-        EXPECT_EQ(tracked.eraseCount, info.eraseCount);
+            line(b, fx.liveP2lPages(chip, b), fx.pagesPerBlock(),
+                 fx.stampOf(chip, b), fx.blocks.eraseCount(chip, b));
+        EXPECT_EQ(fx.mapping.validPages(chip, b), info.validPages);
+        EXPECT_EQ(fx.blocks.openSeq(chip, b), info.openSeq);
         const auto key = std::make_tuple(fx.policy->score(info),
                                          fx.policy->tieBreak(info), b);
         if (best == kInvalidBlock || key < best_key) {
@@ -234,7 +254,7 @@ oracleVictim(const LineFixture &fx, int chip, int plane)
     return best;
 }
 
-TEST(LineManager, GreedyPicksFewestValidPages)
+TEST(GcVictim, GreedyPicksFewestValidPages)
 {
     LineFixture fx;
     const std::vector<int> keep = {5, 2, 9};
@@ -244,11 +264,11 @@ TEST(LineManager, GreedyPicksFewestValidPages)
         for (int i = 0; i < fx.pagesPerBlock() - k; ++i)
             fx.trim(fx.nextLpn - 1 - static_cast<Lpn>(i));
     }
-    EXPECT_EQ(fx.lines.pickVictim(0, 0), full[1]);
+    EXPECT_EQ(fx.pick(0, 0), full[1]);
     EXPECT_EQ(oracleVictim(fx, 0, 0), full[1]);
 }
 
-TEST(LineManager, GreedyBreaksTiesTowardLowestBlockId)
+TEST(GcVictim, GreedyBreaksTiesTowardLowestBlockId)
 {
     LineFixture fx;
     std::vector<BlockId> full;
@@ -257,25 +277,28 @@ TEST(LineManager, GreedyBreaksTiesTowardLowestBlockId)
         for (int i = 0; i < fx.pagesPerBlock() - 4; ++i)
             fx.trim(fx.nextLpn - 1 - static_cast<Lpn>(i));
     }
-    EXPECT_EQ(fx.lines.pickVictim(0, 0),
+    EXPECT_EQ(fx.pick(0, 0),
               *std::min_element(full.begin(), full.end()));
 }
 
-TEST(LineManager, NoFullBlocksMeansNoVictim)
+TEST(GcVictim, NoFullBlocksMeansNoVictim)
 {
     LineFixture fx;
-    EXPECT_EQ(fx.lines.pickVictim(0, 0), kInvalidBlock);
+    EXPECT_EQ(fx.pick(0, 0), kInvalidBlock);
     EXPECT_EQ(oracleVictim(fx, 0, 0), kInvalidBlock);
-    EXPECT_TRUE(fx.lines.fullBlocks(0, 0).empty());
+    EXPECT_TRUE(fx.blocks.fullBlocks(0, 0).empty());
     // An Open (not yet Full) block is not a candidate either.
     BlockId blk = kInvalidBlock;
     int page = 0;
-    ASSERT_TRUE(fx.blocks.allocate(0, 0, blk, page));
-    EXPECT_EQ(fx.lines.pickVictim(0, 0), kInvalidBlock);
+    ASSERT_TRUE(fx.allocate(0, 0, blk, page));
+    EXPECT_EQ(fx.pick(0, 0), kInvalidBlock);
     EXPECT_EQ(oracleVictim(fx, 0, 0), kInvalidBlock);
+    // A plane outside the chip has no blocks to pick from.
+    EXPECT_DEATH((void)fx.pick(0, fx.cfg.geometry.planes),
+                 "plane out of range");
 }
 
-TEST(LineManager, ErasedVictimLeavesTheHeap)
+TEST(GcVictim, ErasedVictimIsNoLongerACandidate)
 {
     LineFixture fx;
     const BlockId a = fx.fillBlock(0, 0);
@@ -283,10 +306,10 @@ TEST(LineManager, ErasedVictimLeavesTheHeap)
     // Empty block a entirely so collecting it migrates nothing.
     for (Lpn lpn = 0; lpn < static_cast<Lpn>(fx.pagesPerBlock()); ++lpn)
         fx.trim(lpn);
-    ASSERT_EQ(fx.lines.pickVictim(0, 0), a);
+    ASSERT_EQ(fx.pick(0, 0), a);
     fx.collect(0, a);
-    EXPECT_EQ(fx.lines.pickVictim(0, 0), b);
-    const auto remaining = fx.lines.fullBlocks(0, 0);
+    EXPECT_EQ(fx.pick(0, 0), b);
+    const auto remaining = fx.blocks.fullBlocks(0, 0);
     EXPECT_EQ(remaining, std::vector<BlockId>{b});
 }
 
@@ -295,7 +318,7 @@ TEST(LineManager, ErasedVictimLeavesTheHeap)
  * block id, which replays an erased-and-refilled low-id block ahead of
  * data written long before it. fifo-log must pick the oldest *fill*.
  */
-TEST(LineManager, FifoLogSurvivesBlockReuse)
+TEST(GcVictim, FifoLogSurvivesBlockReuse)
 {
     LineFixture fx("fifo-log");
     const BlockId a = fx.fillBlock(0, 0);
@@ -310,12 +333,11 @@ TEST(LineManager, FifoLogSurvivesBlockReuse)
     const BlockId c = fx.fillBlock(0, 0);
     ASSERT_NE(c, a);
     // Block-id order would pick a; log order must pick b.
-    EXPECT_EQ(fx.lines.pickVictim(0, 0), b);
-    EXPECT_LT(fx.lines.lineInfo(0, b).openSeq,
-              fx.lines.lineInfo(0, a).openSeq);
+    EXPECT_EQ(fx.pick(0, 0), b);
+    EXPECT_LT(fx.blocks.openSeq(0, b), fx.blocks.openSeq(0, a));
 }
 
-TEST(LineManager, TracksValidCountsAgainstTheMapping)
+TEST(GcVictim, ValidCountsMatchAP2lRecount)
 {
     LineFixture fx;
     for (int b = 0; b < 4; ++b)
@@ -323,15 +345,14 @@ TEST(LineManager, TracksValidCountsAgainstTheMapping)
     std::mt19937_64 rng(17);
     for (int i = 0; i < 64; ++i)
         fx.trim(rng() % fx.nextLpn);
-    for (const BlockId blk : fx.lines.fullBlocks(0, 0))
-        EXPECT_EQ(fx.lines.trackedValid(0, blk),
-                  fx.mapping.validPages(0, blk));
+    for (const BlockId blk : fx.blocks.fullBlocks(0, 0))
+        EXPECT_EQ(fx.liveP2lPages(0, blk), fx.mapping.validPages(0, blk));
 }
 
 /**
  * Differential engine: one randomized churn step (overwrite / trim /
- * GC), then require the line manager's victim scan and the test-side
- * oracle to agree on every plane. Each step is one randomized invalidation
+ * GC), then require pickVictim and the test-side oracle to agree on
+ * every plane. Each step is one randomized invalidation
  * sequence against a drive state no other step has seen.
  */
 void
@@ -353,7 +374,7 @@ differentialChurn(const std::string &policy_name, std::uint64_t seed,
         // Reclaim ahead of the writes so allocation never wedges.
         if (fx.blocks.freeBlocks(chip, plane) <=
             fx.cfg.gcLowWatermark) {
-            const BlockId victim = fx.lines.pickVictim(chip, plane);
+            const BlockId victim = fx.pick(chip, plane);
             if (victim != kInvalidBlock)
                 fx.collect(chip, victim);
         }
@@ -363,13 +384,13 @@ differentialChurn(const std::string &policy_name, std::uint64_t seed,
         } else if (dice < 9) {
             fx.trim(rng() % span);
         } else {
-            const BlockId victim = fx.lines.pickVictim(chip, plane);
+            const BlockId victim = fx.pick(chip, plane);
             if (victim != kInvalidBlock)
                 fx.collect(chip, victim);
         }
         for (int c = 0; c < fx.cfg.totalChips(); ++c) {
             for (int p = 0; p < fx.cfg.geometry.planes; ++p) {
-                ASSERT_EQ(fx.lines.pickVictim(c, p), oracleVictim(fx, c, p))
+                ASSERT_EQ(fx.pick(c, p), oracleVictim(fx, c, p))
                     << policy_name << " diverged at step " << step
                     << " chip " << c << " plane " << p;
             }
@@ -377,17 +398,17 @@ differentialChurn(const std::string &policy_name, std::uint64_t seed,
     }
 }
 
-TEST(LineManagerDifferential, GreedyMatchesBruteForceOver10kSequences)
+TEST(GcVictimDifferential, GreedyMatchesBruteForceOver10kSequences)
 {
     differentialChurn("greedy", 0xAE01, 10000);
 }
 
-TEST(LineManagerDifferential, CostBenefitMatchesBruteForceOver10kSequences)
+TEST(GcVictimDifferential, CostBenefitMatchesBruteForceOver10kSequences)
 {
     differentialChurn("cost-benefit", 0xAE02, 10000);
 }
 
-TEST(LineManagerDifferential, FifoLogMatchesBruteForceOver10kSequences)
+TEST(GcVictimDifferential, FifoLogMatchesBruteForceOver10kSequences)
 {
     differentialChurn("fifo-log", 0xAE03, 10000);
 }
@@ -423,8 +444,9 @@ struct OpLog
 /**
  * The fuzz's whole-drive invariant check:
  *  - mapping bijectivity: L2P and P2L are exact inverses;
- *  - valid-page accounting: the line manager, the mapping and the
- *    global mapped count all agree;
+ *  - valid-page accounting: each block's valid count equals a recount
+ *    of its live P2L entries, and the counts sum to the global mapped
+ *    count;
  *  - free-page accounting: the free lists match the block states;
  *  - wear conservation: per-block erase counts are monotone and sum to
  *    the drive-wide total.
@@ -454,18 +476,20 @@ checkFuzzInvariants(LineFixture &fx,
         for (BlockId b = 0; b < static_cast<BlockId>(blocks_per_chip);
              ++b) {
             // Bijectivity, reverse: every owned PPA is pointed back at.
+            int live = 0;
             for (int pg = 0; pg < fx.pagesPerBlock(); ++pg) {
                 const Ppn ppn = fx.mapping.encode(c, b, pg);
                 const Lpn lpn = fx.mapping.reverseLookup(ppn);
                 if (lpn == kInvalidLpn)
                     continue;
+                live += 1;
                 ASSERT_EQ(fx.mapping.lookup(lpn), ppn)
                     << "P2L names an lpn mapped elsewhere\n" << log.dump();
             }
             const int valid = fx.mapping.validPages(c, b);
             total_valid += static_cast<std::uint64_t>(valid);
-            ASSERT_EQ(fx.lines.trackedValid(c, b), valid)
-                << "line manager lost a valid-count delta on chip " << c
+            ASSERT_EQ(live, valid)
+                << "valid count disagrees with a P2L recount on chip " << c
                 << " block " << b << "\n" << log.dump();
             // A Free block must hold no valid data.
             if (fx.blocks.state(c, b) == BlockState::Free) {
@@ -527,7 +551,7 @@ TEST(GcFuzz, MixedTrafficPreservesInvariantsOver50kOps)
         const int chip = static_cast<int>(rng() % fx.cfg.totalChips());
         const int plane = static_cast<int>(rng() % fx.cfg.geometry.planes);
         if (fx.blocks.freeBlocks(chip, plane) <= fx.cfg.gcLowWatermark) {
-            const BlockId victim = fx.lines.pickVictim(chip, plane);
+            const BlockId victim = fx.pick(chip, plane);
             if (victim != kInvalidBlock) {
                 note("gc", chip, plane, victim);
                 fx.collect(chip, victim);

@@ -249,7 +249,7 @@ TEST(Mapping, UpdateAndLookupRoundTrip)
     PageMapping m(64, 2, 4, 8);
     EXPECT_EQ(m.lookup(0), kInvalidPpn);
     const Ppn ppn = m.encode(1, 2, 3);
-    EXPECT_EQ(m.update(7, ppn).old, kInvalidPpn);
+    m.update(7, ppn);
     EXPECT_EQ(m.lookup(7), ppn);
     EXPECT_EQ(m.reverseLookup(ppn), 7u);
     EXPECT_EQ(m.mappedCount(), 1u);
@@ -266,7 +266,8 @@ TEST(Mapping, OverwriteInvalidatesOldLocation)
     const Ppn b = m.encode(1, 3, 5);
     m.update(9, a);
     EXPECT_EQ(m.validPages(0, 1), 1);
-    EXPECT_EQ(m.update(9, b).old, a);
+    m.update(9, b);
+    EXPECT_EQ(m.lookup(9), b);
     EXPECT_EQ(m.reverseLookup(a), kInvalidLpn);
     EXPECT_EQ(m.validPages(0, 1), 0);
     EXPECT_EQ(m.validPages(1, 3), 1);
@@ -408,6 +409,15 @@ TEST(BlockManager, EraseOfNonFullBlockPanics)
 {
     BlockManager bm(tinyCfg());
     EXPECT_DEATH(bm.onBlockErased(0, 0), "Full state");
+}
+
+TEST(BlockManager, OutOfRangeChipPanics)
+{
+    BlockManager bm(tinyCfg());
+    EXPECT_DEATH((void)bm.state(bm.chips(), 0), "chip out of range");
+    EXPECT_DEATH((void)bm.eraseCount(bm.chips(), 0), "chip out of range");
+    EXPECT_DEATH((void)bm.eraseCount(-1, 0), "chip out of range");
+    EXPECT_DEATH((void)bm.fullBlocks(bm.chips(), 0), "chip out of range");
 }
 
 } // namespace
