@@ -1,7 +1,7 @@
 /**
  * @file
  * Per-block persistent state. A Block is a passive record; all physics is
- * applied through NandChip (which owns the WearModel and RNG streams).
+ * applied through NandChip (which holds the WearModel and the RNG streams).
  */
 
 #ifndef AERO_NAND_BLOCK_HH
@@ -51,6 +51,7 @@ class Block
     void setLeftover(double l) { leftover = l; }
     void resetPages() { nextPage = 0; }
     int claimNextPage() { return nextPage++; }
+    void claimPages(int n) { nextPage += n; }
     /** @} */
 
   private:

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/logging.hh"
 #include "nand/erase_model.hh"
@@ -11,8 +12,17 @@ namespace aero
 
 NandChip::NandChip(const ChipParams &params, const ChipGeometry &geom,
                    std::uint64_t seed, double chip_pv)
-    : chip(params), geo(geom), wear(params), chipPvFactor(chip_pv)
+    : NandChip(std::make_shared<const WearModel>(params), geom, seed,
+               chip_pv)
 {
+}
+
+NandChip::NandChip(std::shared_ptr<const WearModel> model,
+                   const ChipGeometry &geom, std::uint64_t seed,
+                   double chip_pv)
+    : geo(geom), wear(std::move(model)), chipPvFactor(chip_pv)
+{
+    AERO_CHECK(wear != nullptr, "chip needs a wear model");
     AERO_CHECK(geo.planes > 0 && geo.blocksPerPlane > 0 &&
                geo.pagesPerBlock > 0, "invalid chip geometry");
     Rng chip_rng(seed);
@@ -42,11 +52,12 @@ NandChip::block(BlockId id) const
 void
 NandChip::beginErase(BlockId id)
 {
+    const ChipParams &chip = params();
     Block &blk = block(id);
     AERO_CHECK(!blk.op().active, "beginErase on block with in-flight erase");
     blk.op().reset();
     blk.op().active = true;
-    const double peq = wear.equivalentPec(blk.wear());
+    const double peq = wear->equivalentPec(blk.wear());
     blk.op().requirement = sampleRequirement(chip, peq, blk.pvZ(),
                                              chipPvFactor, blk.rng());
 }
@@ -54,6 +65,7 @@ NandChip::beginErase(BlockId id)
 PulseResult
 NandChip::erasePulse(BlockId id, int level, int slots, double stress_scale)
 {
+    const ChipParams &chip = params();
     Block &blk = block(id);
     AERO_CHECK(blk.op().active, "erasePulse without beginErase");
     AERO_CHECK(level >= 1 && level <= chip.maxLevel,
@@ -95,6 +107,7 @@ NandChip::erasePulse(BlockId id, int level, int slots, double stress_scale)
 VerifyResult
 NandChip::verifyRead(BlockId id)
 {
+    const ChipParams &chip = params();
     Block &blk = block(id);
     AERO_CHECK(blk.op().active, "verifyRead without beginErase");
     VerifyResult res;
@@ -130,6 +143,7 @@ NandChip::finishErase(BlockId id)
 Tick
 NandChip::readPage(BlockId id, int page)
 {
+    const ChipParams &chip = params();
     const Block &blk = block(id);
     AERO_CHECK(page >= 0 && page < geo.pagesPerBlock,
                "page out of range: ", page);
@@ -142,6 +156,7 @@ NandChip::readPage(BlockId id, int page)
 Tick
 NandChip::programPage(BlockId id, Tick tprog_override)
 {
+    const ChipParams &chip = params();
     Block &blk = block(id);
     AERO_CHECK(!blk.op().active, "program during in-flight erase");
     AERO_CHECK(blk.programmedPages() < geo.pagesPerBlock,
@@ -151,11 +166,23 @@ NandChip::programPage(BlockId id, Tick tprog_override)
     return tprog_override != 0 ? tprog_override : chip.tProg;
 }
 
+void
+NandChip::programPages(BlockId id, int pages)
+{
+    Block &blk = block(id);
+    AERO_CHECK(!blk.op().active, "program during in-flight erase");
+    AERO_CHECK(pages >= 0 &&
+                   pages <= geo.pagesPerBlock - blk.programmedPages(),
+               "program past end of block ", id,
+               " (erase-before-write violated)");
+    blk.claimPages(pages);
+}
+
 double
 NandChip::maxRber(BlockId id) const
 {
     const Block &blk = block(id);
-    return wear.maxRber(blk.wear(), blk.leftoverSlots());
+    return wear->maxRber(blk.wear(), blk.leftoverSlots());
 }
 
 double
@@ -177,9 +204,9 @@ NandChip::ageBaseline(BlockId id, int cycles)
     // Closed-form: along the Baseline trajectory, equivalent PEC tracks
     // nominal PEC, so the delta of the cumulative curve is the expected
     // damage of `cycles` full-tEP erases.
-    const double peq0 = wear.equivalentPec(blk.wear());
-    const double add = wear.baselineCumDamage(peq0 + cycles) -
-                       wear.baselineCumDamage(peq0);
+    const double peq0 = wear->equivalentPec(blk.wear());
+    const double add = wear->baselineCumDamage(peq0 + cycles) -
+                       wear->baselineCumDamage(peq0);
     blk.addWear(add);
     blk.setPec(blk.pec() + cycles);
     blk.setLeftover(0.0);

@@ -22,6 +22,7 @@
 #define AERO_NAND_NAND_CHIP_HH
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/rng.hh"
@@ -80,9 +81,18 @@ class NandChip
     NandChip(const ChipParams &params, const ChipGeometry &geom,
              std::uint64_t seed, double chip_pv = 1.0);
 
-    const ChipParams &params() const { return chip; }
+    /**
+     * A chip on a wear model shared with other chips of the same type
+     * (the model depends only on ChipParams and is immutable); the chip
+     * takes its parameters from `model->params()`.
+     */
+    NandChip(std::shared_ptr<const WearModel> model,
+             const ChipGeometry &geom, std::uint64_t seed,
+             double chip_pv = 1.0);
+
+    const ChipParams &params() const { return wear->params(); }
     const ChipGeometry &geometry() const { return geo; }
-    const WearModel &wearModel() const { return wear; }
+    const WearModel &wearModel() const { return *wear; }
     double chipPv() const { return chipPvFactor; }
 
     int numBlocks() const { return static_cast<int>(blocks.size()); }
@@ -117,6 +127,8 @@ class NandChip
     Tick readPage(BlockId id, int page);
     /** Programs the next free page in the block; returns latency. */
     Tick programPage(BlockId id, Tick tprog_override = 0);
+    /** Functionally program the next `pages` free pages (no timing). */
+    void programPages(BlockId id, int pages);
     /** @} */
 
     /** Max RBER of the block under 1-yr retention (paper's metric). */
@@ -136,9 +148,8 @@ class NandChip
     std::uint64_t eraseOpsCompleted() const { return eraseOps; }
 
   private:
-    ChipParams chip;
     ChipGeometry geo;
-    WearModel wear;
+    std::shared_ptr<const WearModel> wear;
     double chipPvFactor;
     std::vector<Block> blocks;
     std::uint64_t eraseOps = 0;

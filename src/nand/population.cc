@@ -7,15 +7,16 @@ namespace aero
 {
 
 ChipPopulation::ChipPopulation(const PopulationConfig &cfg_)
-    : cfg(cfg_), chipParams(ChipParams::forType(cfg_.type))
+    : cfg(cfg_),
+      wear(std::make_shared<const WearModel>(ChipParams::forType(cfg_.type)))
 {
     AERO_CHECK(cfg.numChips > 0, "population needs at least one chip");
     Rng pop_rng(cfg.seed);
     chips.reserve(cfg.numChips);
     for (int i = 0; i < cfg.numChips; ++i) {
         const double chip_pv =
-            pop_rng.lognormFactor(chipParams.chipPvSigma);
-        chips.emplace_back(chipParams, cfg.geometry,
+            pop_rng.lognormFactor(params().chipPvSigma);
+        chips.emplace_back(wear, cfg.geometry,
                            pop_rng.next(), chip_pv);
     }
 }

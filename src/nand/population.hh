@@ -8,6 +8,7 @@
 #define AERO_NAND_POPULATION_HH
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "nand/nand_chip.hh"
@@ -30,7 +31,7 @@ class ChipPopulation
 
     int numChips() const { return static_cast<int>(chips.size()); }
     NandChip &chip(int i);
-    const ChipParams &params() const { return chipParams; }
+    const ChipParams &params() const { return wear->params(); }
     const PopulationConfig &config() const { return cfg; }
 
     /** Total blocks across all chips. */
@@ -71,7 +72,7 @@ class ChipPopulation
 
   private:
     PopulationConfig cfg;
-    ChipParams chipParams;
+    std::shared_ptr<const WearModel> wear;  //!< shared by every chip
     std::vector<NandChip> chips;
 };
 

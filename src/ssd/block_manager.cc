@@ -73,6 +73,28 @@ BlockManager::takeFreeBlock(int chip, Plane &ps)
     return block;
 }
 
+BlockId
+BlockManager::openBlock(int chip, Plane &ps)
+{
+    const BlockId block = takeFreeBlock(chip, ps);
+    const std::size_t idx = blockIndex(chip, block);
+    AERO_CHECK(blockStates[idx] == BlockState::Free,
+               "opened block was not in Free state");
+    blockStates[idx] = BlockState::Open;
+    openSeqs[idx] = nextOpenSeq++;
+    return block;
+}
+
+void
+BlockManager::closeFull(int chip, BlockId &open, int &cursor)
+{
+    auto &st = blockStates[blockIndex(chip, open)];
+    AERO_CHECK(st == BlockState::Open, "filled block was not in Open state");
+    st = BlockState::Full;
+    open = kInvalidBlock;
+    cursor = 0;
+}
+
 bool
 BlockManager::allocate(int chip, int plane, BlockId &block, int &page,
                        bool for_gc)
@@ -88,25 +110,32 @@ BlockManager::allocate(int chip, int plane, BlockId &block, int &page,
             for_gc ? 0u : static_cast<std::size_t>(kGcReservedBlocks);
         if (ps.freeList.size() <= reserve)
             return false;
-        open = takeFreeBlock(chip, ps);
+        open = openBlock(chip, ps);
         cursor = 0;
-        const std::size_t idx = blockIndex(chip, open);
-        AERO_CHECK(blockStates[idx] == BlockState::Free,
-                   "opened block was not in Free state");
-        blockStates[idx] = BlockState::Open;
-        openSeqs[idx] = nextOpenSeq++;
     }
     block = open;
     page = cursor++;
-    if (cursor == pagesPerBlock) {
-        auto &st = blockStates[blockIndex(chip, open)];
-        AERO_CHECK(st == BlockState::Open,
-                   "filled block was not in Open state");
-        st = BlockState::Full;
-        open = kInvalidBlock;
-        cursor = 0;
-    }
+    if (cursor == pagesPerBlock)
+        closeFull(chip, open, cursor);
     return true;
+}
+
+BlockId
+BlockManager::allocateRun(int chip, int plane, int pages)
+{
+    auto &ps = planesState[planeIndex(chip, plane)];
+    AERO_CHECK(ps.open == kInvalidBlock, "plane already has an open block");
+    AERO_CHECK(pages >= 1 && pages <= pagesPerBlock,
+               "run of ", pages, " pages does not fit a block");
+    AERO_CHECK(ps.freeList.size() >
+                   static_cast<std::size_t>(kGcReservedBlocks),
+               "no free block outside the GC reserve");
+    const BlockId block = openBlock(chip, ps);
+    ps.open = block;
+    ps.cursor = pages;
+    if (pages == pagesPerBlock)
+        closeFull(chip, ps.open, ps.cursor);
+    return block;
 }
 
 int

@@ -63,6 +63,15 @@ class BlockManager
     bool allocate(int chip, int plane, BlockId &block, int &page,
                   bool for_gc = false);
 
+    /**
+     * Open the plane's next user block and allocate its first `pages`
+     * pages at once: the block is taken, checked and stamped exactly as
+     * allocate() would open it, then left Open with its cursor at
+     * `pages`, or Full if they fill it. The plane must have no open user
+     * block, and the GC reserve applies as in allocate().
+     */
+    BlockId allocateRun(int chip, int plane, int pages);
+
     /** Free blocks a user allocation may still open. */
     static constexpr int kGcReservedBlocks = 1;
 
@@ -99,6 +108,10 @@ class BlockManager
 
     /** Detach one free block per the wear policy (default: the back). */
     BlockId takeFreeBlock(int chip, Plane &ps);
+    /** Take a free block, mark it Open and give it the next fill stamp. */
+    BlockId openBlock(int chip, Plane &ps);
+    /** Mark a write point's filled block Full and reset the point. */
+    void closeFull(int chip, BlockId &open, int &cursor);
 
     std::size_t planeIndex(int chip, int plane) const;
     std::size_t blockIndex(int chip, BlockId block) const;

@@ -41,11 +41,14 @@ Ftl::Ftl(const SsdConfig &cfg_, EventQueue &eq_)
               cfg.blocksPerChip(), cfg.geometry.pagesPerBlock),
       blocks(cfg)
 {
-    const auto params = ChipParams::forType(cfg.chipType);
+    // Every chip is the same type: one wear model serves them all.
+    const auto wear = std::make_shared<const WearModel>(
+        ChipParams::forType(cfg.chipType));
+    const ChipParams &params = wear->params();
     Rng seeder(cfg.seed);
     chips.reserve(cfg.totalChips());
     for (int i = 0; i < cfg.totalChips(); ++i) {
-        chips.emplace_back(params, cfg.geometry, seeder.next(),
+        chips.emplace_back(wear, cfg.geometry, seeder.next(),
                            seeder.lognormFactor(params.chipPvSigma));
     }
     preAge(cfg.initialPec);
@@ -117,32 +120,52 @@ Ftl::preAge(double pec)
 void
 Ftl::prefill()
 {
+    AERO_CHECK(mapping.mappedCount() == 0 && writePointer == 0,
+               "prefill needs a fresh drive: nothing mapped and the "
+               "write pointer at plane 0");
     const auto total = static_cast<Lpn>(
         static_cast<double>(cfg.logicalPages()) * cfg.prefillFraction);
-    for (Lpn lpn = 0; lpn < total; ++lpn) {
-        const int tries = cfg.totalChips() * cfg.geometry.planes;
-        bool placed = false;
-        for (int t = 0; t < tries && !placed; ++t) {
-            const int key = (writePointer + t) % tries;
-            const int chip = key / cfg.geometry.planes;
-            const int plane = key % cfg.geometry.planes;
-            // Keep the GC headroom: never prefill below the high mark.
-            if (blocks.freeBlocks(chip, plane) <= cfg.gcHighWatermark)
-                continue;
-            BlockId blk;
-            int page;
-            if (!blocks.allocate(chip, plane, blk, page))
-                continue;
-            mapping.update(lpn, mapping.encode(chip, blk, page));
-            chips[chip].programPage(blk);
-            placed = true;
-            writePointer = (key + 1) % tries;
-        }
-        if (!placed) {
-            AERO_WARN("prefill stopped early at LPN ", lpn, " of ", total);
+    const int planes = cfg.geometry.planes;
+    const int keys = cfg.totalChips() * planes;
+    // Round-robin placement fills a fresh drive's planes in lockstep:
+    // LPN i lands on plane key i % keys, so each round opens one block
+    // per plane, in key order, and plane key k takes LPNs base + k,
+    // base + k + keys, ... Every plane holds as many free blocks as the
+    // others, so the GC headroom (never prefill a plane at or below the
+    // high watermark) stops them all in the same round. A round whose
+    // block opening leaves the planes at the mark places one page each.
+    std::vector<Ppn> starts;
+    starts.reserve(static_cast<std::size_t>(keys));
+    Lpn next = 0;
+    while (next < total) {
+        const int free_blocks = blocks.freeBlocks(0, 0);
+        if (free_blocks <= cfg.gcHighWatermark ||
+            free_blocks <= BlockManager::kGcReservedBlocks)
             break;
+        const bool last = free_blocks - 1 <= cfg.gcHighWatermark;
+        const Lpn per_plane = last ? 1 : cfg.geometry.pagesPerBlock;
+        const Lpn round = std::min(total - next, per_plane * keys);
+        starts.clear();
+        for (int key = 0; key < keys && static_cast<Lpn>(key) < round;
+             ++key) {
+            const int chip = key / planes;
+            const int plane = key % planes;
+            AERO_CHECK(blocks.freeBlocks(chip, plane) == free_blocks,
+                       "prefill planes out of lockstep");
+            const auto pages =
+                static_cast<int>((round - key + keys - 1) / keys);
+            const BlockId blk = blocks.allocateRun(chip, plane, pages);
+            chips[chip].programPages(blk, pages);
+            starts.push_back(mapping.encode(chip, blk, 0));
         }
+        mapping.mapStripe(next, round, starts);
+        next += round;
+        if (last)
+            break;
     }
+    writePointer = static_cast<int>(next % keys);
+    if (next < total)
+        AERO_WARN("prefill stopped early at LPN ", next, " of ", total);
 }
 
 void
@@ -536,12 +559,19 @@ Ftl::eraseUrgent(int chip, BlockId block)
 void
 Ftl::retryStalledWrites()
 {
+    // A failed submitWritePage has no side effects, so every write after
+    // it would fail against the same planes: stop at the first failure
+    // and re-queue it and the rest in order. While each write before it
+    // is resubmitted, eraseUrgent() sees an empty queue.
     std::deque<StalledWrite> pending;
     pending.swap(stalledWrites);
-    for (auto &w : pending) {
-        if (!submitWritePage(w.lpn, w.requestId, w.tenant))
-            stalledWrites.push_back(w);
-    }
+    auto it = pending.begin();
+    while (it != pending.end() &&
+           submitWritePage(it->lpn, it->requestId, it->tenant))
+        ++it;
+    pending.erase(pending.begin(), it);
+    AERO_CHECK(stalledWrites.empty(), "a write stalled during the retry");
+    stalledWrites.swap(pending);
 }
 
 std::size_t

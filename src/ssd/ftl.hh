@@ -34,7 +34,11 @@ class Ftl : public FtlCallbacks
     /** Age every block to the configured initial PEC (conditioning). */
     void preAge(double pec);
 
-    /** Map and (functionally) program the logical space, without timing. */
+    /**
+     * Map and (functionally) program the logical space, without timing,
+     * a round of whole-block runs (one per plane) at a time. Needs a
+     * fresh drive: nothing mapped and the write pointer at plane 0.
+     */
     void prefill();
 
     /**

@@ -110,6 +110,36 @@ PageMapping::update(Lpn lpn, Ppn ppn)
 }
 
 void
+PageMapping::mapStripe(Lpn first, Lpn count, const std::vector<Ppn> &starts)
+{
+    const Lpn n = starts.size();
+    AERO_CHECK(n >= 1 && n <= count, "stripe of ", count, " pages over ",
+               n, " blocks");
+    AERO_CHECK(first + count <= l2p.size, "LPN out of range: ",
+               first + count - 1);
+    AERO_CHECK((count + n - 1) / n <= pagesPerBlock,
+               "valid pages overflow block");
+    for (Lpn k = 0; k < n; ++k) {
+        AERO_CHECK(starts[k] < p2l.size && starts[k] % pagesPerBlock == 0,
+                   "stripe block does not start at page 0: ", starts[k]);
+        // A block with no valid pages has no P2L entries either.
+        auto &valid = validCount[flatBlock(starts[k])];
+        AERO_CHECK(valid == 0, "mapping a stripe onto a block with valid "
+                   "pages");
+        valid = static_cast<std::int32_t>((count - k + n - 1) / n);
+    }
+    Lpn lpn = first;
+    const Lpn end = first + count;
+    for (Ppn page = 0; lpn < end; ++page) {
+        for (Lpn k = 0; k < n && lpn < end; ++k, ++lpn) {
+            l2p[lpn] = static_cast<Entry>(starts[k] + page);
+            p2l[starts[k] + page] = static_cast<Entry>(lpn);
+        }
+    }
+    mapped += count;
+}
+
+void
 PageMapping::invalidateLpn(Lpn lpn)
 {
     AERO_CHECK(lpn < l2p.size, "LPN out of range: ", lpn);

@@ -61,6 +61,17 @@ class PageMapping
     /** Map `lpn` to `ppn`, invalidating any previous location. */
     void update(Lpn lpn, Ppn ppn);
 
+    /**
+     * Map `count` logical pages from `first` striped over empty blocks,
+     * as round-robin placement fills a fresh drive: LPN first + j goes
+     * to page j / n of the block starting at PPN starts[j % n], with
+     * n = starts.size() <= count. Every LPN must be unmapped (nothing
+     * else maps them on a fresh drive); the stripe is checked once per
+     * block, not page by page. The tables are written row by row, so
+     * L2P fills in LPN order and each block's P2L run in page order.
+     */
+    void mapStripe(Lpn first, Lpn count, const std::vector<Ppn> &starts);
+
     /** Drop the mapping of a logical page (TRIM). */
     void invalidateLpn(Lpn lpn);
 

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "nand/nand_chip.hh"
 #include "nand/erase_model.hh"
 #include "nand/population.hh"
@@ -97,6 +99,19 @@ TEST(NandChip, EraseBeforeWriteEnforced)
     EXPECT_EQ(chip.programPage(1), chip.params().tProg);
 }
 
+TEST(NandChip, ProgramPagesClaimsARun)
+{
+    auto chip = makeChip();
+    chip.programPage(2);
+    chip.programPages(2, 10);
+    EXPECT_EQ(chip.block(2).programmedPages(), 11);
+    chip.programPages(2, 0);
+    EXPECT_EQ(chip.block(2).programmedPages(), 11);
+    EXPECT_DEATH(chip.programPages(2, 6), "erase-before-write");
+    chip.programPages(2, 5);
+    EXPECT_DEATH(chip.programPage(2), "erase-before-write");
+}
+
 TEST(NandChip, ProgramLatencyOverride)
 {
     auto chip = makeChip();
@@ -139,6 +154,46 @@ TEST(NandChip, DeterministicAcrossInstances)
     }
 }
 
+// A chip on a shared wear model and one that builds its own must be the
+// same chip: aging, every erase micro-op and the RBER bit for bit.
+TEST(NandChip, SharedWearModelMatchesStandalone)
+{
+    const ChipGeometry geom{2, 8, 16};
+    const auto model =
+        std::make_shared<const WearModel>(ChipParams::tlc3d());
+    NandChip shared(model, geom, 99, 1.03);
+    NandChip alone(ChipParams::tlc3d(), geom, 99, 1.03);
+    EXPECT_EQ(&shared.wearModel(), model.get());
+    EXPECT_NE(&alone.wearModel(), model.get());
+    EXPECT_EQ(&shared.params(), &model->params());
+    for (BlockId b = 0; b < 4; ++b) {
+        shared.ageBaseline(b, 900 * static_cast<int>(b));
+        alone.ageBaseline(b, 900 * static_cast<int>(b));
+        EXPECT_EQ(shared.block(b).wear(), alone.block(b).wear());
+        EXPECT_EQ(shared.block(b).pec(), alone.block(b).pec());
+        for (int op = 0; op < 2; ++op) {
+            shared.beginErase(b);
+            alone.beginErase(b);
+            EXPECT_EQ(shared.opRequirement(b), alone.opRequirement(b));
+            // Pulses at the first levels only, so some erases end early.
+            for (int level = 1; level <= 2 + op; ++level) {
+                shared.erasePulse(b, level, 7);
+                alone.erasePulse(b, level, 7);
+                const VerifyResult vs = shared.verifyRead(b);
+                const VerifyResult va = alone.verifyRead(b);
+                EXPECT_EQ(vs.failBits, va.failBits);
+                EXPECT_EQ(vs.pass, va.pass);
+            }
+            const EraseCommit cs = shared.finishErase(b);
+            const EraseCommit ca = alone.finishErase(b);
+            EXPECT_EQ(cs.damage, ca.damage);
+            EXPECT_EQ(cs.leftoverSlots, ca.leftoverSlots);
+            EXPECT_EQ(cs.pulses, ca.pulses);
+            EXPECT_EQ(shared.maxRber(b), alone.maxRber(b));
+        }
+    }
+}
+
 TEST(NandChip, MaxRberGrowsWithWear)
 {
     auto chip = makeChip();
@@ -163,6 +218,18 @@ TEST(Population, ChipsVaryButAreDeterministic)
             any_diff = true;
     }
     EXPECT_TRUE(any_diff);
+}
+
+TEST(Population, ChipsShareOneWearModel)
+{
+    PopulationConfig cfg;
+    cfg.numChips = 8;
+    cfg.geometry = ChipGeometry{1, 4, 8};
+    ChipPopulation pop(cfg);
+    const WearModel &model = pop.chip(0).wearModel();
+    EXPECT_EQ(&pop.params(), &model.params());
+    for (int i = 0; i < pop.numChips(); ++i)
+        EXPECT_EQ(&pop.chip(i).wearModel(), &model);
 }
 
 TEST(Population, SampledBlockVisitCounts)

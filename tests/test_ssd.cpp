@@ -175,6 +175,79 @@ TEST(Ssd, RunsBackToBack)
     EXPECT_GT(ssd.metrics().reads, reads1);
 }
 
+// A burst of writes admitted at once outruns the free space, so writes
+// stall and are resubmitted as GC frees blocks. The erases, GC work,
+// latencies and final tick are the values recorded while every erase
+// still resubmitted every stalled write.
+TEST(Ssd, StalledWriteBurstDrains)
+{
+    Ssd ssd(tinyCfg());
+    Ftl &ftl = ssd.ftl();
+    const SsdConfig &cfg = ssd.config();
+    for (int i = 0; i < 40; ++i) {
+        TraceRecord rec;
+        rec.op = IoOp::Write;
+        rec.startPage = (static_cast<Lpn>(i) * 97) % cfg.logicalPages();
+        rec.pages = 16;
+        ftl.submit(rec);
+    }
+    // Every plane still holds its reserved free block, so an urgent
+    // erase there means writes are waiting for space.
+    for (int c = 0; c < cfg.totalChips(); ++c) {
+        for (int p = 0; p < cfg.geometry.planes; ++p) {
+            ASSERT_EQ(ftl.blockManager().freeBlocks(c, p), 1);
+            EXPECT_TRUE(ftl.eraseUrgent(
+                c, static_cast<BlockId>(p * cfg.geometry.blocksPerPlane)));
+        }
+    }
+    ssd.eventQueue().run();
+    EXPECT_TRUE(ftl.drained());
+    const auto &m = ssd.metrics();
+    EXPECT_EQ(m.writes, 40u);
+    EXPECT_EQ(m.erases, 29u);
+    EXPECT_EQ(m.gcInvocations, 29u);
+    EXPECT_EQ(m.gcMigratedPages, 302u);
+    EXPECT_EQ(m.writeLatency.mean(), 71322250.0);
+    EXPECT_EQ(m.writeLatency.max(), 174963000u);
+    EXPECT_EQ(ssd.eventQueue().now(), 235737000u);
+}
+
+// The same on bench(): ali.A at 60x its rate stalls writes on and off
+// for the whole run while several GC erases queue per chip, so a retry
+// that let eraseUrgent() see a non-empty queue mid-resubmission would
+// move the erases, suspensions and latencies pinned here.
+TEST(Ssd, StalledWritesOnBenchDriveMatchRecordedRun)
+{
+    SsdConfig cfg = SsdConfig::bench();
+    cfg.scheme = SchemeKind::Aero;
+    cfg.initialPec = 2500;
+    Ssd ssd(cfg);
+    SyntheticConfig wc;
+    wc.spec = workloadByName("ali.A");
+    wc.footprintPages = cfg.logicalPages();
+    wc.numRequests = 20000;
+    wc.seed = 7;
+    wc.intensityScale = 60.0;
+    ssd.run(generateTrace(wc));
+    const auto &m = ssd.metrics();
+    EXPECT_EQ(m.erases, 1916u);
+    EXPECT_EQ(m.gcInvocations, 1916u);
+    EXPECT_EQ(m.gcMigratedPages, 188546u);
+    EXPECT_EQ(m.eraseSuspensions, 309u);
+    EXPECT_EQ(m.writeLatency.mean(), 4013179.6838747724);
+    EXPECT_EQ(m.readLatency.mean(), 306129.83209509659);
+    EXPECT_EQ(ssd.eventQueue().now(), 8012637931u);
+}
+
+TEST(Ftl, ChipsShareOneWearModel)
+{
+    EventQueue eq;
+    Ftl ftl(SsdConfig::bench(), eq);
+    const WearModel &model = ftl.chipAt(0).wearModel();
+    for (int i = 0; i < ftl.config().totalChips(); ++i)
+        EXPECT_EQ(&ftl.chipAt(i).wearModel(), &model);
+}
+
 TEST(Ssd, ConfigSummaryMentionsScheme)
 {
     SsdConfig cfg = tinyCfg(SchemeKind::Aero);
