@@ -264,9 +264,23 @@ Ftl::functionalGc(int chip, int plane)
 void
 Ftl::submit(const TraceRecord &rec)
 {
-    const std::uint64_t id = nextRequestId++;
-    inflight.emplace(id, InflightRequest{rec.op, eq.now(), rec.pages,
-                                         rec.tenant});
+    std::uint32_t slot;
+    if (freeSlots.empty()) {
+        slot = static_cast<std::uint32_t>(inflight.size());
+        inflight.emplace_back();
+    } else {
+        slot = freeSlots.back();
+        freeSlots.pop_back();
+    }
+    InflightRequest &req = inflight[slot];
+    req.arrival = eq.now();
+    req.remaining = rec.pages;
+    req.tenant = rec.tenant;
+    req.op = rec.op;
+    req.live = true;
+    liveRequests += 1;
+    const std::uint64_t id =
+        (static_cast<std::uint64_t>(req.generation) << 32) | (slot + 1ULL);
     if (rec.op == IoOp::Read) {
         // Reads are side-effect free at admission, so a multi-page
         // request queues as a burst: one dispatch pass per touched chip
@@ -364,9 +378,13 @@ Ftl::submitWritePage(Lpn lpn, std::uint64_t request_id, TenantId tenant)
 void
 Ftl::completeRequestPage(std::uint64_t request_id)
 {
-    auto it = inflight.find(request_id);
-    AERO_CHECK(it != inflight.end(), "completion for unknown request");
-    auto &req = it->second;
+    // Id 0 has no slot: its low word wraps to a slot past any slab.
+    const std::uint64_t slot = (request_id & 0xFFFFFFFFULL) - 1;
+    const auto generation = static_cast<std::uint32_t>(request_id >> 32);
+    AERO_CHECK(slot < inflight.size() && inflight[slot].live &&
+                   inflight[slot].generation == generation,
+               "completion for unknown request");
+    InflightRequest &req = inflight[slot];
     AERO_CHECK(req.remaining > 0, "request page over-completion");
     if (--req.remaining == 0) {
         const Tick latency = eq.now() - req.arrival + cfg.hostOverhead;
@@ -392,7 +410,10 @@ Ftl::completeRequestPage(std::uint64_t request_id)
                 tenant->writeLatency.add(latency);
             }
         }
-        inflight.erase(it);
+        req.live = false;
+        req.generation += 1;
+        freeSlots.push_back(static_cast<std::uint32_t>(slot));
+        liveRequests -= 1;
     }
 }
 
@@ -509,7 +530,10 @@ Ftl::gcStep(GcJob *job)
         const Ppn ppn =
             mapping.encode(job->chip, job->victim, job->nextPage);
         job->nextPage += 1;
-        if (mapping.reverseLookup(ppn) != kInvalidLpn) {
+        const Lpn owner = mapping.reverseLookup(ppn);
+        if (owner != kInvalidLpn) {
+            // issueGcWrite remaps the owner one event later.
+            mapping.prefetch(owner);
             PageOp op;
             op.kind = PageOp::Kind::GcRead;
             op.ppn = ppn;

@@ -12,7 +12,6 @@
 
 #include <deque>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "ssd/block_manager.hh"
@@ -60,7 +59,7 @@ class Ftl : public FtlCallbacks
     void submit(const TraceRecord &rec);
 
     /** All submitted requests completed? */
-    bool drained() const { return inflight.empty() && !anyGcActive(); }
+    bool drained() const { return liveRequests == 0 && !anyGcActive(); }
 
     SsdMetrics &metrics() { return stats; }
     const SsdConfig &config() const { return cfg; }
@@ -81,12 +80,20 @@ class Ftl : public FtlCallbacks
   private:
     friend class EventQueue;  //!< tagged-event dispatch entry point
 
+    /**
+     * One slot of the in-flight slab. A request id is
+     * (generation << 32) | (slot + 1): the slot's generation moves on
+     * when its request finishes, so a stale or never-issued id matches
+     * no live slot.
+     */
     struct InflightRequest
     {
-        IoOp op;
-        Tick arrival;
-        std::uint32_t remaining;
-        TenantId tenant;
+        Tick arrival = 0;
+        std::uint32_t remaining = 0;
+        std::uint32_t generation = 0;
+        TenantId tenant = 0;
+        IoOp op = IoOp::Read;
+        bool live = false;
     };
 
     struct StalledWrite
@@ -135,8 +142,9 @@ class Ftl : public FtlCallbacks
     std::vector<char> burstTouched;  //!< per-chip membership flag
     /** @} */
 
-    std::unordered_map<std::uint64_t, InflightRequest> inflight;
-    std::uint64_t nextRequestId = 1;
+    std::vector<InflightRequest> inflight;  //!< slab, indexed by slot
+    std::vector<std::uint32_t> freeSlots;   //!< finished slots, LIFO
+    std::size_t liveRequests = 0;
     std::deque<StalledWrite> stalledWrites;
 
     std::vector<std::unique_ptr<GcJob>> gcJobs;   //!< slot per plane

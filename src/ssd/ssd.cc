@@ -22,38 +22,23 @@ Ssd::Ssd(const SsdConfig &cfg_) : cfg(cfg_)
 void
 Ssd::run(const Trace &trace)
 {
-    run(trace, kTickMax);
-}
-
-void
-Ssd::run(const Trace &trace, Tick deadline)
-{
     VectorTraceStream stream(trace);
-    run(stream, deadline);
+    run(stream);
 }
 
 void
 Ssd::run(TraceStream &stream)
 {
-    run(stream, kTickMax);
-}
-
-void
-Ssd::run(TraceStream &stream, Tick deadline)
-{
     // Feed arrivals incrementally, keeping the queue small. The queue is
-    // always drained before returning (the deadline only stops *new*
-    // arrivals), so the stack pump cannot dangle.
+    // always drained before returning, so the stack pump cannot dangle.
     TracePump pump{};
     pump.ftl = ftlImpl.get();
     pump.eq = &eq;
     pump.stream = &stream;
     pump.base = eq.now();
-    pump.deadline = deadline;
     if (sloPolicyThrottles(cfg.sloPolicy) && !cfg.slo.empty())
         pump.configureThrottle(cfg.slo, cfg.pageSizeKB, metrics());
-    pump.hasPending = stream.next(pump.pending);
-    if (!pump.hasPending)
+    if (!pump.advance())
         return;
     eq.scheduleTraceAdmitAt(pump.base + pump.pending.arrival, pump);
     eq.run();
@@ -200,13 +185,54 @@ TracePump::fireThrottled(TenantId tenant)
     }
 }
 
+Lpn
+TracePump::firstLpn(const TraceRecord &rec) const
+{
+    // In-range start pages (nearly all) skip the 64-bit division: it
+    // sits on the admission path, ahead of the prefetch it addresses.
+    const Lpn pages = ftl->pageMapping().logicalPages();
+    return rec.startPage < pages ? rec.startPage : rec.startPage % pages;
+}
+
+bool
+TracePump::advance()
+{
+    // Admitting a record walks L2P (and, for a write, P2L) entries far
+    // larger than the caches. Pulling kAdmitLookahead records ahead
+    // gives each record's L2P prefetch that many admissions to land, and
+    // its P2L prefetch, which loads the L2P entry, half as many.
+    constexpr std::size_t mask = kAdmitLookahead - 1;
+    const PageMapping &mapping = ftl->pageMapping();
+    while (!streamDone && aheadCount < kAdmitLookahead) {
+        TraceRecord &rec = ahead[(aheadHead + aheadCount) & mask];
+        if (!stream->next(rec)) {
+            streamDone = true;
+            break;
+        }
+        aheadCount += 1;
+        mapping.prefetch(firstLpn(rec));
+    }
+    hasPending = aheadCount != 0;
+    if (!hasPending)
+        return false;
+    pending = ahead[aheadHead];
+    aheadHead = (aheadHead + 1) & mask;
+    aheadCount -= 1;
+    constexpr std::size_t half = kAdmitLookahead / 2;
+    if (aheadCount >= half) {
+        const TraceRecord &mid = ahead[(aheadHead + half - 1) & mask];
+        if (mid.op == IoOp::Write)
+            mapping.prefetchReverse(firstLpn(mid));
+    }
+    return true;
+}
+
 void
 TracePump::fire()
 {
     for (;;) {
         admit(pending);
-        hasPending = stream->next(pending);
-        if (!hasPending || eq->now() >= deadline)
+        if (!advance())
             return;
         const Tick due_raw = base + pending.arrival;
         const Tick due = due_raw < eq->now() ? eq->now() : due_raw;

@@ -8,6 +8,7 @@
 #ifndef AERO_SSD_SSD_HH
 #define AERO_SSD_SSD_HH
 
+#include <array>
 #include <deque>
 #include <memory>
 #include <utility>
@@ -22,10 +23,14 @@ namespace aero
  * Feeds trace arrivals into the FTL as tagged kernel events. Each firing
  * admits every record already due, then schedules one event for the next
  * future arrival — the queue holds at most one pump event at a time.
- * The pump pulls from a TraceStream one record ahead, so replay memory
- * is the stream's (one chunk for FileTraceStream), never the trace's.
- * Lives on Ssd::run()'s stack; run() drains the queue before returning,
- * so pending pump events cannot dangle.
+ * The pump pulls from a TraceStream kAdmitLookahead records ahead of
+ * admission into a fixed ring, so replay memory is the stream's (one
+ * chunk for FileTraceStream) plus the ring, never the trace's. The ring
+ * only issues cache hints: a record's first L2P entry is prefetched when
+ * it is pulled and, for a write, its current P2L entry halfway to
+ * admission. Records are admitted in the same order and at the same
+ * ticks as without it. Lives on Ssd::run()'s stack; run() drains the
+ * queue before returning, so pending pump events cannot dangle.
  *
  * With SLO throttling enabled (SloPolicy::Throttle / ThrottleWfq plus a
  * non-empty TenantSloSpec), admission additionally passes through
@@ -63,13 +68,16 @@ struct TracePump
         EventId release;  //!< pending TraceAdmitThrottled, if any
     };
 
+    /** How many records the pump pulls ahead of the one it admits next
+     *  (a power of two: the ring indexes by mask). */
+    static constexpr std::size_t kAdmitLookahead = 32;
+
     Ftl *ftl = nullptr;
     EventQueue *eq = nullptr;
     TraceStream *stream = nullptr;
     TraceRecord pending;    //!< next record to admit (valid iff hasPending)
     bool hasPending = false;
     Tick base = 0;          //!< eq->now() when the replay started
-    Tick deadline = kTickMax;
     std::vector<TenantGate> gates;  //!< indexed by tenant; empty: no gate
     SsdMetrics *stats = nullptr;    //!< deferral accounting (throttle only)
     std::uint32_t pageKB = 16;      //!< bandwidth-cell cost per page
@@ -77,6 +85,10 @@ struct TracePump
     /** Build the per-tenant gates from a parsed SLO spec. */
     void configureThrottle(const TenantSloSpec &spec,
                            std::uint32_t pageSizeKB, SsdMetrics &metrics);
+
+    /** Move the next streamed record into `pending`, topping up the
+     *  lookahead ring first; sets hasPending and returns it. */
+    bool advance();
 
     /** Kernel dispatch target: admit the due records. */
     void fire();
@@ -89,9 +101,22 @@ struct TracePump
     bool throttledPending() const;
 
   private:
+    static_assert((kAdmitLookahead & (kAdmitLookahead - 1)) == 0 &&
+                  kAdmitLookahead >= 2, "lookahead ring needs a power of two");
+
     /** Route one due record through its tenant gate (or straight to the
      *  FTL when the tenant is ungated). */
     void admit(const TraceRecord &rec);
+
+    /** The first logical page `rec` touches, wrapped as Ftl::submit
+     *  wraps it. */
+    Lpn firstLpn(const TraceRecord &rec) const;
+
+    /** Records pulled but not yet in `pending`, oldest at aheadHead. */
+    std::array<TraceRecord, kAdmitLookahead> ahead{};
+    std::size_t aheadHead = 0;
+    std::size_t aheadCount = 0;
+    bool streamDone = false;  //!< the stream has returned false
 };
 
 class Ssd
@@ -109,17 +134,13 @@ class Ssd
      */
     void run(const Trace &trace);
 
-    /** Replay and also force-quiesce after `deadline` of simulated time. */
-    void run(const Trace &trace, Tick deadline);
-
     /**
-     * Replay from a pull stream — the admission path every overload
-     * funnels into. Only one record is resident at a time beyond the
-     * stream's own buffering, so multi-billion-request file traces
-     * replay in O(chunk) memory.
+     * Replay from a pull stream — the admission path run(const Trace &)
+     * funnels into. At most TracePump::kAdmitLookahead + 1 records are
+     * resident beyond the stream's own buffering, so multi-billion-request
+     * file traces replay in O(chunk) memory.
      */
     void run(TraceStream &stream);
-    void run(TraceStream &stream, Tick deadline);
 
     SsdMetrics &metrics() { return ftlImpl->metrics(); }
     Ftl &ftl() { return *ftlImpl; }

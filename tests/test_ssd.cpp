@@ -9,6 +9,7 @@
 #include "devchar/simstudy.hh"
 #include "ssd/ssd.hh"
 #include "workload/synthetic.hh"
+#include "workload/trace_io/tenant.hh"
 
 namespace aero
 {
@@ -299,6 +300,232 @@ TEST(SsdWarmup, LookaheadEdgesReproduceTheSequentialDraws)
         EXPECT_EQ(ftl.warmupErases(), pin.erases);
         EXPECT_EQ(mappingFingerprint(ftl.pageMapping()), pin.fingerprint);
     }
+}
+
+/** Replays a trace and counts how often it was pulled. */
+class CountingStream : public TraceStream
+{
+  public:
+    explicit CountingStream(Trace trace) : inner(std::move(trace)) {}
+
+    bool
+    next(TraceRecord &out) override
+    {
+        calls += 1;
+        if (!inner.next(out))
+            return false;
+        yielded += 1;
+        return true;
+    }
+
+    std::uint64_t calls = 0;
+    std::uint64_t yielded = 0;
+
+  private:
+    VectorTraceStream inner;
+};
+
+/**
+ * A mixed stream for the admission edges: groups of three records share
+ * an arrival tick (the pump admits those inline), two in three records
+ * write, requests span 1-4 pages, and start pages run up to four times
+ * the logical space (Ftl::submit wraps them).
+ */
+Trace
+admissionTrace(const SsdConfig &cfg, std::uint64_t n)
+{
+    Trace trace;
+    for (std::uint64_t i = 0; i < n; ++i) {
+        TraceRecord r;
+        r.arrival = (i / 3) * 20 * kUs;
+        r.op = i % 3 == 1 ? IoOp::Read : IoOp::Write;
+        r.startPage = (i * 7919) % (4 * cfg.logicalPages());
+        r.pages = static_cast<std::uint32_t>(1 + i % 4);
+        trace.push_back(r);
+    }
+    return trace;
+}
+
+struct ReplayPin
+{
+    std::uint64_t records;
+    std::uint64_t reads;
+    std::uint64_t writes;
+    double readMean;
+    double writeMean;
+    Tick end;
+};
+
+// The trace pump pulls records kAdmitLookahead ahead of admission to
+// prefetch their mapping entries. Around that window (no record, one,
+// window-1/window/window+1, and twice the window) every record must be
+// admitted at the tick, and in the order, pinned before the lookahead
+// existed, and each record pulled exactly once.
+TEST(TracePump, LookaheadEdgesReplayAsRecorded)
+{
+    static_assert(TracePump::kAdmitLookahead == 32,
+                  "the pinned streams straddle a 32-record window");
+    const ReplayPin pins[] = {
+        {0, 0, 0, 0.0, 0.0, 0},
+        {1, 0, 1, 0.0, 368000.0, 363000},
+        {31, 10, 21, 513600.0, 5463857.1428571427, 10384000},
+        {32, 11, 21, 544818.18181818177, 5564809.5238095243, 10490000},
+        {33, 11, 22, 544818.18181818177, 5782227.2727272725, 10543000},
+        {64, 21, 43, 785333.33333333337, 11136139.534883721, 91615000},
+        {400, 133, 267, 3338751.8796992479, 83020337.078651682, 294362000},
+    };
+    for (const ReplayPin &pin : pins) {
+        SCOPED_TRACE(pin.records);
+        Ssd ssd(tinyCfg());
+        CountingStream stream(admissionTrace(ssd.config(), pin.records));
+        ssd.run(stream);
+        const SsdMetrics &m = ssd.metrics();
+        EXPECT_EQ(stream.yielded, pin.records);
+        EXPECT_EQ(stream.calls, pin.records + 1);
+        EXPECT_EQ(m.reads, pin.reads);
+        EXPECT_EQ(m.writes, pin.writes);
+        EXPECT_EQ(m.readLatency.mean(), pin.readMean);
+        EXPECT_EQ(m.writeLatency.mean(), pin.writeMean);
+        EXPECT_EQ(ssd.eventQueue().now(), pin.end);
+        EXPECT_TRUE(ssd.ftl().drained());
+    }
+}
+
+// Two tenants under throttle+wfq: the lookahead must not move a single
+// GCRA deferral, grant or completion of the recorded run.
+TEST(TracePump, ThrottledTwoTenantMixReplaysAsRecorded)
+{
+    SsdConfig cfg = SsdConfig::tiny();
+    cfg.chipsPerChannel = 4;
+    cfg.seed = 99;
+    cfg.arbitration = Arbitration::Queued;
+    cfg.sloPolicy = SloPolicy::ThrottleWfq;
+    cfg.slo = parseTenantSloSpec("0:weight=8,1:weight=1:iops=800");
+    Ssd ssd(cfg);
+    ssd.metrics().enableTenantTracking(2);
+    SyntheticConfig wc;
+    wc.footprintPages = cfg.logicalPages();
+    wc.spec = workloadByName("usr");
+    wc.numRequests = 300;
+    wc.seed = 31;
+    Trace victim = generateTrace(wc);
+    wc.spec = workloadByName("ali.A");
+    wc.numRequests = 600;
+    wc.seed = 77;
+    wc.intensityScale = 40.0;
+    Trace hog = generateTrace(wc);
+    std::vector<std::unique_ptr<TraceStream>> streams;
+    streams.push_back(std::make_unique<VectorTraceStream>(std::move(victim)));
+    streams.push_back(std::make_unique<VectorTraceStream>(std::move(hog)));
+    // Merged up front, so the pump's pulls can be counted.
+    TenantMix mix(std::move(streams));
+    Trace merged;
+    TraceRecord rec;
+    while (mix.next(rec))
+        merged.push_back(rec);
+    CountingStream stream(std::move(merged));
+    ssd.run(stream);
+    const SsdMetrics &m = ssd.metrics();
+    EXPECT_EQ(stream.yielded, 900u);
+    EXPECT_EQ(stream.calls, 901u);
+    EXPECT_EQ(m.reads, 321u);
+    EXPECT_EQ(m.writes, 579u);
+    EXPECT_EQ(m.readLatency.mean(), 197114.40809968847);
+    EXPECT_EQ(m.writeLatency.mean(), 1065985.134715026);
+    EXPECT_EQ(m.throttleDeferrals, 574u);
+    EXPECT_EQ(m.throttleDeferredTicks, 146418490893u);
+    EXPECT_EQ(m.tenants[0].throttleDeferrals, 0u);
+    EXPECT_EQ(m.tenants[1].throttleDeferrals, 574u);
+    EXPECT_EQ(ssd.eventQueue().now(), 738037511u);
+}
+
+// Used as an admission gate (an empty stream, the record set by hand),
+// the pump admits exactly the record it is handed and pulls nothing.
+TEST(TracePump, GateAdmitsExactlyTheRecordItIsHanded)
+{
+    Ssd ssd(tinyCfg());
+    CountingStream none{Trace{}};
+    TracePump gate{};
+    gate.ftl = &ssd.ftl();
+    gate.eq = &ssd.eventQueue();
+    gate.stream = &none;
+    const Lpn span = ssd.config().logicalPages();
+    for (std::uint64_t i = 0; i < 3; ++i) {
+        TraceRecord rec;
+        rec.op = i == 1 ? IoOp::Read : IoOp::Write;
+        rec.startPage = span * i + 5;
+        rec.pages = 2;
+        gate.pending = rec;
+        gate.hasPending = true;
+        gate.fire();
+        EXPECT_FALSE(gate.hasPending);
+        ssd.eventQueue().run();
+        EXPECT_EQ(ssd.metrics().reads + ssd.metrics().writes, i + 1);
+    }
+    EXPECT_EQ(ssd.metrics().reads, 1u);
+    EXPECT_EQ(none.yielded, 0u);
+    EXPECT_TRUE(ssd.ftl().drained());
+}
+
+PageOp
+userRead(std::uint64_t request_id)
+{
+    PageOp op;
+    op.kind = PageOp::Kind::UserRead;
+    op.requestId = request_id;
+    return op;
+}
+
+/** One request of `pages` pages, submitted at the current tick. */
+void
+submitRead(Ftl &ftl, std::uint32_t pages)
+{
+    TraceRecord rec;
+    rec.op = IoOp::Read;
+    rec.startPage = 3;
+    rec.pages = pages;
+    ftl.submit(rec);
+}
+
+// Request ids start at 1 and name their request for its lifetime only.
+TEST(FtlDeathTest, CompletionForANeverIssuedRequestDies)
+{
+    EventQueue eq;
+    Ftl ftl(SsdConfig::tiny(), eq);
+    EXPECT_DEATH(ftl.onPageOpDone(userRead(1)),
+                 "completion for unknown request");
+    submitRead(ftl, 1);
+    EXPECT_DEATH(ftl.onPageOpDone(userRead(0)),
+                 "completion for unknown request");
+    EXPECT_DEATH(ftl.onPageOpDone(userRead(2)),
+                 "completion for unknown request");
+    EXPECT_DEATH(ftl.onPageOpDone(userRead(kNoRequest)),
+                 "completion for unknown request");
+}
+
+TEST(FtlDeathTest, CompletionForAFinishedRequestDies)
+{
+    EventQueue eq;
+    Ftl ftl(SsdConfig::tiny(), eq);
+    submitRead(ftl, 1);
+    eq.run();
+    ASSERT_TRUE(ftl.drained());
+    EXPECT_DEATH(ftl.onPageOpDone(userRead(1)),
+                 "completion for unknown request");
+    // A later request may reuse the finished one's storage; the old id
+    // must still not reach it.
+    submitRead(ftl, 1);
+    EXPECT_DEATH(ftl.onPageOpDone(userRead(1)),
+                 "completion for unknown request");
+}
+
+TEST(FtlDeathTest, OverCompletionDies)
+{
+    EventQueue eq;
+    Ftl ftl(SsdConfig::tiny(), eq);
+    submitRead(ftl, 0);  // nothing left to complete
+    EXPECT_DEATH(ftl.onPageOpDone(userRead(1)),
+                 "request page over-completion");
 }
 
 // 15 chips x 4369 blocks x 65537 pages is exactly 2^32 - 1 physical
