@@ -3,21 +3,27 @@
  * Channel-arbitration performance trajectory. Replays the same trace
  * through the same drive under the legacy closed-form channel model and
  * under queued (event-driven) arbitration, and records what the extra
- * ChannelGrant/DieOpComplete events cost the simulator — the queued
- * model roughly doubles the event count per page op, and this bench pins
- * the actual multiple so it cannot silently grow.
+ * events cost the simulator: a DieOpComplete per read sense, and a
+ * ChannelGrant only for a bus release some chip waits for (a read's
+ * release rides on its ReadXferDone). Each row carries the dispatch
+ * count of every event kind, so the queued/legacy multiple is pinned
+ * kind by kind and cannot silently grow.
  *
  * Emits an `aero-contention-bench/1` artifact (BENCH_contention.json in
- * CI). The gate (tests/perf/run_contention_gate.cmake) compares the
- * deterministic event counts and final ticks exactly — under *both*
- * arbitration models, so a behaviour change in either trips it — and
- * gates the relative simulation cost through a machine-normalized
- * threshold boolean, while machine-absolute rates are ignored.
+ * CI). The perf gate (tests/perf/run_perf_gate.cmake, LABEL contention)
+ * compares the deterministic event counts and final ticks exactly —
+ * under *both* arbitration models, so a behaviour change in either trips
+ * it — and gates the relative simulation cost through a
+ * machine-normalized threshold boolean, while machine-absolute rates are
+ * ignored.
  */
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdint>
+#include <iterator>
+#include <utility>
 
 #include "bench_util.hh"
 #include "ssd/ssd.hh"
@@ -30,10 +36,28 @@ namespace
 
 using Clock = std::chrono::steady_clock;
 
+/** Artifact field of each dispatchable event kind's count. */
+constexpr std::pair<EventKind, const char *> kKindFields[] = {
+    {EventKind::Callback, "events_callback"},
+    {EventKind::Timer, "events_timer"},
+    {EventKind::ChipOpComplete, "events_chip_op_complete"},
+    {EventKind::ReadXferDone, "events_read_xfer_done"},
+    {EventKind::EraseSegmentDone, "events_erase_segment_done"},
+    {EventKind::SuspendQuiesced, "events_suspend_quiesced"},
+    {EventKind::HostPageDone, "events_host_page_done"},
+    {EventKind::TraceAdmit, "events_trace_admit"},
+    {EventKind::TraceAdmitThrottled, "events_trace_admit_throttled"},
+    {EventKind::DieOpComplete, "events_die_op_complete"},
+    {EventKind::ChannelGrant, "events_channel_grant"},
+};
+static_assert(std::size(kKindFields) == kEventKinds - 1,
+              "every kind but Dead needs an artifact field");
+
 struct ReplayResult
 {
     double requestsPerSec = 0.0;      //!< best trial
     std::uint64_t eventsTotal = 0;    //!< deterministic
+    std::array<std::uint64_t, kEventKinds> eventsByKind{};  //!< det.
     std::uint64_t finalTick = 0;      //!< deterministic
     std::uint64_t erases = 0;         //!< deterministic
     std::uint64_t hostGrants = 0;     //!< deterministic (queued only)
@@ -57,6 +81,9 @@ replayOnce(Arbitration arb, const Trace &trace, ReplayResult &out)
     out.requestsPerSec = std::max(
         out.requestsPerSec, static_cast<double>(trace.size()) / secs);
     out.eventsTotal = ssd.eventQueue().processed();
+    for (const auto &[kind, field] : kKindFields)
+        out.eventsByKind[static_cast<int>(kind)] =
+            ssd.eventQueue().processed(kind);
     out.finalTick = ssd.eventQueue().now();
     out.erases = ssd.metrics().erases;
     out.hostGrants = ssd.metrics().hostChannelGrants;
@@ -80,6 +107,8 @@ replayRow(const char *arbitration, const ReplayResult &r,
     row["gc_channel_grants"] = r.gcGrants;
     row["events_per_request"] = static_cast<double>(r.eventsTotal) /
                                 static_cast<double>(requests);
+    for (const auto &[kind, field] : kKindFields)
+        row[field] = r.eventsByKind[static_cast<int>(kind)];
     return row;
 }
 

@@ -19,6 +19,20 @@ Felp::allowedLeftoverSlots(double block_pec) const
 {
     if (!cfg.useEccMargin)
         return 0.0;
+    // Block PECs are whole numbers that repeat from erase to erase; the
+    // entry keeps the exact value, so any other input just misses.
+    if (!(block_pec >= 0.0 && block_pec < 0x1p63))
+        return solveLeftoverSlots(block_pec);
+    MemoEntry &e = memo[static_cast<std::uint64_t>(block_pec) &
+                        (kMemoEntries - 1)];
+    if (e.pec != block_pec)
+        e = MemoEntry{block_pec, solveLeftoverSlots(block_pec)};
+    return e.slots;
+}
+
+double
+Felp::solveLeftoverSlots(double block_pec) const
+{
     const double margin = static_cast<double>(cfg.rberRequirement) -
                           cfg.marginPad -
                           wear.predictedBaseRber(block_pec);

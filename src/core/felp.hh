@@ -13,6 +13,9 @@
 #ifndef AERO_CORE_FELP_HH
 #define AERO_CORE_FELP_HH
 
+#include <array>
+#include <cstddef>
+
 #include "core/ept.hh"
 #include "nand/wear_model.hh"
 
@@ -54,6 +57,10 @@ class Felp
     /**
      * Slots of leftover whose residual RBER still fits the block's margin
      * (0 when the margin optimization is disabled or exhausted).
+     * Memoized per PEC value in a small direct-mapped table, so a block
+     * PEC seen before skips the margin bisection; results are identical
+     * to recomputing. The memo makes a Felp unsafe to share between
+     * threads (each scheme owns its own).
      */
     double allowedLeftoverSlots(double block_pec) const;
 
@@ -61,10 +68,23 @@ class Felp
     const FelpConfig &config() const { return cfg; }
 
   private:
+    /** The uncached allowedLeftoverSlots(). */
+    double solveLeftoverSlots(double block_pec) const;
+
+    /** One memo line; pec -1 never matches (PECs are non-negative). */
+    struct MemoEntry
+    {
+        double pec = -1.0;
+        double slots = 0.0;
+    };
+
+    static constexpr std::size_t kMemoEntries = 64;  //!< power of two
+
     const ChipParams &chip;
     const WearModel &wear;
     Ept table;
     FelpConfig cfg;
+    mutable std::array<MemoEntry, kMemoEntries> memo{};
 };
 
 } // namespace aero

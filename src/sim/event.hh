@@ -60,8 +60,13 @@ enum class EventKind : std::uint8_t
     TraceAdmit,        //!< trace pump: admit the next due request burst
     DieOpComplete,     //!< queued arbitration: on-die phase (sense) ended
     ChannelGrant,      //!< queued arbitration: channel bus released
+                       //!< with a chip waiting for it
     TraceAdmitThrottled, //!< trace pump: a tenant's token bucket refilled
+    ReadXferDone,      //!< queued arbitration: a read's transfer ended —
+                       //!< ChipOpComplete, then the bus release
 };
+
+constexpr int kEventKinds = static_cast<int>(EventKind::ReadXferDone) + 1;
 
 /**
  * Handle to a scheduled event: arena slot plus generation. The
@@ -85,10 +90,10 @@ struct EventId
  * union — exactly one cache line, so heap reordering never touches a
  * second one. Events are stored in EventQueue's chunked arena and linked
  * into an intrusive pairing heap; `sibling` doubles as the freelist
- * link. The one fat payload (the PageOp a ChipOpComplete carries) lives
- * in a parallel per-slot arena in EventQueue, written at schedule time
- * and read back once at dispatch; keeping it out of the union is what
- * holds the node to 64 bytes.
+ * link. The one fat payload (the PageOp a ChipOpComplete or ReadXferDone
+ * carries) lives in a parallel per-slot arena in EventQueue, written at
+ * schedule time and read back once at dispatch; keeping it out of the
+ * union is what holds the node to 64 bytes.
  */
 struct Event
 {
@@ -131,8 +136,9 @@ struct Event
 
         std::function<void()> *cb;  //!< Callback (compat lane, owned)
         TimerPayload timer;         //!< Timer
-        AgentPayload agent;         //!< ChipOpComplete / EraseSegmentDone
-                                    //!< / SuspendQuiesced / DieOpComplete
+        AgentPayload agent;         //!< ChipOpComplete / ReadXferDone /
+                                    //!< EraseSegmentDone / SuspendQuiesced
+                                    //!< / DieOpComplete
         HostPagePayload hostPage;   //!< HostPageDone
         PumpPayload pump;           //!< TraceAdmit
         PumpTenantPayload pumpTenant; //!< TraceAdmitThrottled

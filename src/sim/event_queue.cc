@@ -125,13 +125,13 @@ EventQueue::scrubRoot()
 }
 
 Event *
-EventQueue::post(Tick when, EventKind kind)
+EventQueue::post(Key key, EventKind kind)
 {
-    AERO_CHECK(when >= currentTick, "scheduling into the past: ", when,
-               " < ", currentTick);
+    AERO_CHECK(key.when >= currentTick, "scheduling into the past: ",
+               key.when, " < ", currentTick);
     Event *ev = allocSlot();
-    ev->when = when;
-    ev->seq = nextSeq++;
+    ev->when = key.when;
+    ev->seq = key.seq;
     ev->kind = kind;
     root = merge(root, ev);
     ++liveCount;
@@ -213,11 +213,57 @@ EventQueue::scheduleDieOpAt(Tick when, ChipAgent &agent)
 }
 
 EventId
-EventQueue::scheduleChannelGrantAt(Tick when, Channel &channel)
+EventQueue::scheduleReadXferDoneAt(Tick when, ChipAgent &agent,
+                                   const PageOp &op)
 {
-    Event *ev = post(when, EventKind::ChannelGrant);
+    Event *ev = post(when, EventKind::ReadXferDone);
+    ev->payload.agent = Event::AgentPayload{&agent};
+    opAt(ev->slot) = op;
+    return EventId{ev->slot, ev->gen};
+}
+
+EventId
+EventQueue::scheduleChannelGrant(std::uint32_t r, Channel &channel)
+{
+    AERO_CHECK(!passed(r), "posting a reserved key dispatch has passed");
+    Event *ev = post(reserved[r], EventKind::ChannelGrant);
     ev->payload.channel = Event::ChannelPayload{&channel};
     return EventId{ev->slot, ev->gen};
+}
+
+std::uint32_t
+EventQueue::addReservation()
+{
+    reserved.emplace_back();
+    return static_cast<std::uint32_t>(reserved.size() - 1);
+}
+
+void
+EventQueue::reserve(std::uint32_t r, Tick when)
+{
+    AERO_CHECK(when >= currentTick, "reserving a key in the past: ", when,
+               " < ", currentTick);
+    reserved[r] = Key{when, nextSeq++};
+}
+
+std::uint64_t
+EventQueue::processed() const
+{
+    std::uint64_t total = 0;
+    for (const std::uint64_t n : processedByKind)
+        total += n;
+    return total;
+}
+
+Tick
+EventQueue::nextEventTick() const
+{
+    Tick next = root ? root->when : kTickMax;
+    for (const Key &k : reserved) {
+        if (k.when < next && !passed(k))
+            next = k.when;
+    }
+    return next;
 }
 
 bool
@@ -262,9 +308,10 @@ EventQueue::dispatch(EventKind kind, const Event::Payload &payload)
         payload.timer.fn(payload.timer.ctx);
         break;
       case EventKind::ChipOpComplete:
+      case EventKind::ReadXferDone:
         // Handled inline in step() (the op must be copied out of the
         // side arena before the slot recycles).
-        AERO_PANIC("ChipOpComplete reached the generic dispatcher");
+        AERO_PANIC("page-op completion reached the generic dispatcher");
       case EventKind::EraseSegmentDone:
         payload.agent.agent->onEraseSegmentDone();
         break;
@@ -299,8 +346,20 @@ EventQueue::run(Tick until)
         if (!step())
             break;
     }
-    if (currentTick < until && until != kTickMax)
+    // Dispatch has now passed every key at or before `until` — on a
+    // drain, every key — including reserved keys never posted. A drain
+    // ends at the last of them, as it would had they been posted.
+    if (until == kTickMax) {
+        for (const Key &k : reserved) {
+            if (k.when != kTickMax && k.when > currentTick)
+                currentTick = k.when;
+        }
+    } else if (currentTick <= until) {
         currentTick = until;
+    } else {
+        return;
+    }
+    passSeq = nextSeq;
 }
 
 bool
@@ -316,17 +375,26 @@ EventQueue::step()
     --liveCount;
     AERO_CHECK(ev->when >= currentTick, "event queue time went backwards");
     currentTick = ev->when;
-    ++processedCount;
+    passSeq = ev->seq + 1;
     // Copy the tag and payload out and recycle the slot *before*
     // dispatching, so handlers that schedule immediately reuse it: the
     // steady-state arena stays at the peak pending-event count.
     const EventKind kind = ev->kind;
+    ++processedByKind[static_cast<int>(kind)];
     const Event::Payload payload = ev->payload;
-    if (kind == EventKind::ChipOpComplete) {
+    if (kind == EventKind::ChipOpComplete ||
+        kind == EventKind::ReadXferDone) {
         const PageOp op = opAt(ev->slot);
         ev->gen += 1;
         freeSlot(ev);
-        payload.agent.agent->onChipOpComplete(op);
+        ChipAgent *agent = payload.agent.agent;
+        agent->onChipOpComplete(op);
+        if (kind == EventKind::ReadXferDone) {
+            // The channel reserved the very next key for the bus
+            // release, so nothing can fire in between: release it here.
+            passSeq += 1;
+            agent->channel.onGrantDone();
+        }
         return true;
     }
     ev->gen += 1;

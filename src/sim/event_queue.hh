@@ -17,11 +17,19 @@
  * The `schedule(Tick, std::function)` compatibility lane remains for
  * tests and examples; it heap-allocates its closure and cannot be
  * cancelled.
+ *
+ * Reservations let a caller hold an event's (tick, seq) key without
+ * posting the event: reserve() takes the sequence number a post at that
+ * point would have taken, and the key is posted later only if it turns
+ * out to be needed (Channel does this for bus releases nobody waits
+ * for). Until dispatch passes a reserved key it counts as pending in
+ * nextEventTick(), so skipping the event changes no firing order.
  */
 
 #ifndef AERO_SIM_EVENT_QUEUE_HH
 #define AERO_SIM_EVENT_QUEUE_HH
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -49,15 +57,22 @@ class EventQueue
 
     bool empty() const { return liveCount == 0; }
     std::size_t pending() const { return liveCount; }
-    std::uint64_t processed() const { return processedCount; }
+    /** Events dispatched so far, of every kind / of one kind. */
+    std::uint64_t processed() const;
+    std::uint64_t
+    processed(EventKind kind) const
+    {
+        return processedByKind[static_cast<int>(kind)];
+    }
 
     /**
-     * Tick of the earliest pending event, kTickMax when empty. Lets the
-     * trace pump batch same-tick admissions without perturbing event
-     * order: if nothing is pending at now(), a pump event scheduled at
-     * now() would fire immediately next anyway.
+     * Tick of the earliest pending event or unpassed reserved key,
+     * kTickMax when there is none. Lets the trace pump batch same-tick
+     * admissions without perturbing event order: if nothing is pending
+     * at now(), a pump event scheduled at now() would fire immediately
+     * next anyway.
      */
-    Tick nextEventTick() const { return root ? root->when : kTickMax; }
+    Tick nextEventTick() const;
 
     /** Schedule `cb` to run `delay` ticks from now (compat lane). */
     void
@@ -81,7 +96,22 @@ class EventQueue
     EventId scheduleTraceAdmitThrottledAt(Tick when, TracePump &pump,
                                           TenantId tenant);
     EventId scheduleDieOpAt(Tick when, ChipAgent &agent);
-    EventId scheduleChannelGrantAt(Tick when, Channel &channel);
+    /** A read's completion that also releases its channel's bus. */
+    EventId scheduleReadXferDoneAt(Tick when, ChipAgent &agent,
+                                   const PageOp &op);
+    /** Post a ChannelGrant under reservation `r`'s (unpassed) key. */
+    EventId scheduleChannelGrant(std::uint32_t r, Channel &channel);
+    /** @} */
+
+    /** @name Reserved keys (see the file comment) */
+    /** @{ */
+    /** A new reservation slot, holding no key yet. */
+    std::uint32_t addReservation();
+    /** Give slot `r` the key an event posted at `when` now would get. */
+    void reserve(std::uint32_t r, Tick when);
+    /** Has dispatch passed slot `r`'s key, i.e. would its event have
+     *  fired by now had it been posted? */
+    bool passed(std::uint32_t r) const { return passed(reserved[r]); }
     /** @} */
 
     /**
@@ -107,6 +137,21 @@ class EventQueue
   private:
     static constexpr std::size_t kChunkSize = 512;
 
+    /** An event's ordering key. */
+    struct Key
+    {
+        Tick when = kTickMax;  //!< kTickMax: no key held
+        std::uint64_t seq = 0;
+    };
+
+    /** Keys below (currentTick, passSeq) are behind dispatch. */
+    bool
+    passed(const Key &k) const
+    {
+        return k.when < currentTick ||
+               (k.when == currentTick && k.seq < passSeq);
+    }
+
     static Event *merge(Event *a, Event *b);
     static Event *mergePairs(Event *list);
 
@@ -117,7 +162,13 @@ class EventQueue
     /** Pop dead slots off the root so `root` is always live or null. */
     void scrubRoot();
     /** Allocate, key, and push one event at `when`. */
-    Event *post(Tick when, EventKind kind);
+    Event *
+    post(Tick when, EventKind kind)
+    {
+        return post(Key{when, nextSeq++}, kind);
+    }
+    /** Push one event under an already-taken key. */
+    Event *post(Key key, EventKind kind);
     void dispatch(EventKind kind, const Event::Payload &payload);
 
     std::vector<std::unique_ptr<Event[]>> chunks;
@@ -129,7 +180,9 @@ class EventQueue
     std::size_t liveCount = 0;
     Tick currentTick = 0;
     std::uint64_t nextSeq = 0;
-    std::uint64_t processedCount = 0;
+    std::uint64_t passSeq = 0;  //!< see passed(Key)
+    std::vector<Key> reserved;  //!< reservation slots
+    std::array<std::uint64_t, kEventKinds> processedByKind{};
 };
 
 } // namespace aero

@@ -1,6 +1,7 @@
 #include "ssd/channel.hh"
 
 #include <algorithm>
+#include <tuple>
 
 #include "common/logging.hh"
 #include "ssd/chip_agent.hh"
@@ -9,23 +10,14 @@ namespace aero
 {
 
 void
-Channel::init(int index, EventQueue *eq_, SsdMetrics *metrics_)
+Channel::init(int index, EventQueue *eq_, SsdMetrics *metrics_, int chips)
 {
     idx = index;
     eq = eq_;
     metrics = metrics_;
-}
-
-bool
-Channel::quiet() const
-{
-    if (owned)
-        return false;
-    for (const auto &q : waiters) {
-        if (!q.empty())
-            return false;
-    }
-    return true;
+    maxWaiters = static_cast<std::size_t>(chips);
+    waiters.reserve(maxWaiters);
+    releaseKey = eq->addReservation();
 }
 
 void
@@ -43,11 +35,17 @@ Channel::weightOf(TenantId tenant) const
     return 1;
 }
 
+bool
+Channel::held() const
+{
+    return owned && (release != Release::Latent || !eq->passed(releaseKey));
+}
+
 void
 Channel::request(ChipAgent &agent, BusClass cls, TenantId tenant)
 {
     AERO_CHECK(eq != nullptr, "channel used before init()");
-    Waiter w{&agent, eq->now(), 0, nextWaiterSeq++, tenant};
+    Waiter w{&agent, eq->now(), 0, nextWaiterSeq++, tenant, cls};
     if (wfq &&
         (cls == BusClass::HostRead || cls == BusClass::HostWrite)) {
         // SFQ: stamp the virtual start time at *arrival*, even for an
@@ -59,21 +57,27 @@ Channel::request(ChipAgent &agent, BusClass cls, TenantId tenant)
         finishTag[tenant] = start + kWfqQuantum / weightOf(tenant);
         w.tag = start;
     }
-    if (!owned) {
-        grantTo(w, cls);
+    if (!held()) {
+        grantTo(w);
         return;
     }
-    waiters[static_cast<int>(cls)].push_back(w);
+    AERO_CHECK(waiters.size() < maxWaiters, "channel ", idx, " has ",
+               waiters.size(), " waiters for ", maxWaiters, " chips");
+    waiters.push_back(w);
+    if (release == Release::Latent) {
+        eq->scheduleChannelGrant(releaseKey, *this);
+        release = Release::Posted;
+    }
 }
 
 void
-Channel::grantTo(const Waiter &w, BusClass cls)
+Channel::grantTo(const Waiter &w)
 {
     const Tick now = eq->now();
     const Tick wait = now - w.since;
     const bool host =
-        cls == BusClass::HostRead || cls == BusClass::HostWrite;
-    switch (cls) {
+        w.cls == BusClass::HostRead || w.cls == BusClass::HostWrite;
+    switch (w.cls) {
       case BusClass::HostRead:
       case BusClass::HostWrite:
         metrics->hostChannelWaitTicks += wait;
@@ -88,47 +92,55 @@ Channel::grantTo(const Waiter &w, BusClass cls)
         metrics->eraseChannelGrants += 1;
         break;
     }
+    if (grantLog)
+        grantLog->push_back(Grant{now, idx, w.cls, w.agent->chipIdx});
     if (wfq && host)
         vtime = std::max(vtime, w.tag);
-    const Tick release = w.agent->channelGranted();
-    AERO_CHECK(release >= now, "channel released before grant");
+    const BusRelease rel = w.agent->channelGranted();
+    AERO_CHECK(rel.when >= now, "channel released before grant");
     if (static_cast<std::size_t>(idx) < metrics->channelBusyTicks.size())
-        metrics->channelBusyTicks[idx] += release - now;
+        metrics->channelBusyTicks[idx] += rel.when - now;
     if (wfq && host && metrics->tenantTrackingEnabled() &&
         w.tenant < metrics->tenants.size()) {
         metrics->tenants[w.tenant].channelGrants += 1;
-        metrics->tenants[w.tenant].channelHeldTicks += release - now;
+        metrics->tenants[w.tenant].channelHeldTicks += rel.when - now;
     }
     owned = true;
-    eq->scheduleChannelGrantAt(release, *this);
+    // The key a ChannelGrant posted here would take. Chips still waiting
+    // need the release as an event; a folded read's completion, which
+    // took the key just before, performs it anyway.
+    eq->reserve(releaseKey, rel.when);
+    if (rel.folded) {
+        release = Release::Folded;
+    } else if (!waiters.empty()) {
+        eq->scheduleChannelGrant(releaseKey, *this);
+        release = Release::Posted;
+    } else {
+        release = Release::Latent;
+    }
 }
 
 void
 Channel::onGrantDone()
 {
     owned = false;
-    for (auto &q : waiters) {
-        if (q.empty())
-            continue;
-        const BusClass cls =
-            static_cast<BusClass>(static_cast<int>(&q - waiters.data()));
-        // WFQ host classes: grant the lowest virtual start tag, arrival
-        // order on ties. FIFO otherwise (seq is monotone, so picking the
-        // minimum seq *is* the front).
-        std::size_t pick = 0;
-        if (wfq &&
-            (cls == BusClass::HostRead || cls == BusClass::HostWrite)) {
-            for (std::size_t i = 1; i < q.size(); ++i) {
-                if (q[i].tag < q[pick].tag ||
-                    (q[i].tag == q[pick].tag && q[i].seq < q[pick].seq))
-                    pick = i;
-            }
-        }
-        const Waiter w = q[pick];
-        q.erase(q.begin() + static_cast<std::ptrdiff_t>(pick));
-        grantTo(w, cls);
+    if (waiters.empty())
         return;
+    // Class priority first; within a WFQ host class the lowest virtual
+    // start tag (tags are 0 elsewhere); arrival order breaks ties —
+    // FIFO, since seq is monotone.
+    const auto rank = [](const Waiter &w) {
+        return std::make_tuple(w.cls, w.tag, w.seq);
+    };
+    auto pick = waiters.begin();
+    for (auto it = pick + 1; it != waiters.end(); ++it) {
+        if (rank(*it) < rank(*pick))
+            pick = it;
     }
+    const Waiter w = *pick;
+    *pick = waiters.back();
+    waiters.pop_back();
+    grantTo(w);
 }
 
 } // namespace aero

@@ -9,11 +9,23 @@
  *
  * Queued arbitration models the bus as a resource with per-class FIFO
  * grant queues: a chip *requests* the bus for a transfer (or an erase
- * command issue), waits its turn, and is granted by a ChannelGrant event
- * when the previous owner releases. Grants drain strictly by class
- * priority — host reads > host writes > GC copies > erase commands — and
- * FIFO within a class, so host and reclamation traffic genuinely contend
- * and the wait each class suffers is measured into SsdMetrics.
+ * command issue), waits its turn, and is granted when the previous owner
+ * releases. Grants drain strictly by class priority — host reads > host
+ * writes > GC copies > erase commands — and FIFO within a class, so host
+ * and reclamation traffic genuinely contend and the wait each class
+ * suffers is measured into SsdMetrics. At most one op per chip waits for
+ * the bus, so the waiters are one small vector and a grant picks the
+ * least (class, WFQ tag, arrival) among them.
+ *
+ * A release costs an event only when a chip waits for it. At grant time
+ * the channel reserves the event key the release would take (see
+ * EventQueue::reserve) and posts a ChannelGrant under it only once a
+ * request has to queue before dispatch passes the key; otherwise the
+ * release passes silently. A read's release shares its completion's
+ * tick and follows it in key order, so the read's ReadXferDone event
+ * completes the op and then releases the bus itself. Either way grants
+ * happen at exactly the (tick, seq) points a ChannelGrant per release
+ * would give them.
  *
  * With WFQ enabled (SloPolicy::Wfq / ThrottleWfq), the two *host*
  * classes swap their FIFO for start-time fair queuing: each request is
@@ -31,8 +43,7 @@
 #ifndef AERO_SSD_CHANNEL_HH
 #define AERO_SSD_CHANNEL_HH
 
-#include <array>
-#include <deque>
+#include <vector>
 
 #include "sim/event_queue.hh"
 #include "ssd/metrics.hh"
@@ -51,7 +62,14 @@ enum class BusClass : std::uint8_t
     EraseCmd = 3,
 };
 
-constexpr int kBusClasses = 4;
+/** What a granted chip hands back: when it releases the bus, and
+ *  whether its completion event at that tick (a read's ReadXferDone)
+ *  performs the release. */
+struct BusRelease
+{
+    Tick when = 0;
+    bool folded = false;
+};
 
 /** WFQ virtual-time quantum: finish tags advance by kWfqQuantum/weight
  *  per grant, so a weight-w tenant accrues virtual time 1/w as fast. */
@@ -63,16 +81,17 @@ class Channel
     /** Legacy arbitration: end of the last reserved transfer slot. */
     Tick busyUntil = 0;
 
-    /** Wire the queued-arbitration machinery (FTL does this at mount). */
-    void init(int index, EventQueue *eq_, SsdMetrics *metrics_);
+    /** Wire the queued-arbitration machinery for `chips` chips (FTL
+     *  does this at mount). */
+    void init(int index, EventQueue *eq_, SsdMetrics *metrics_, int chips);
 
     int index() const { return idx; }
 
     /**
      * Queued arbitration: request the bus. Grants immediately when the
      * bus is free, otherwise enqueues; the agent's channelGranted() runs
-     * at grant time and returns the tick it releases the bus. `tenant`
-     * only matters under WFQ and only for the host classes.
+     * at grant time and says when it releases the bus. `tenant` only
+     * matters under WFQ and only for the host classes.
      */
     void request(ChipAgent &agent, BusClass cls, TenantId tenant = 0);
 
@@ -85,8 +104,17 @@ class Channel
 
     bool wfqEnabled() const { return wfq; }
 
-    /** Nothing owned, nothing waiting? */
-    bool quiet() const;
+    /** One grant, as logGrants() records it. */
+    struct Grant
+    {
+        Tick tick = 0;
+        int channel = 0;
+        BusClass cls = BusClass::HostRead;
+        int chip = 0;
+    };
+
+    /** Append every later grant to `log` (nullptr stops logging). */
+    void logGrants(std::vector<Grant> *log) { grantLog = log; }
 
   private:
     friend class EventQueue;  //!< tagged-event dispatch entry point
@@ -95,22 +123,38 @@ class Channel
     {
         ChipAgent *agent = nullptr;
         Tick since = 0;
-        std::uint64_t tag = 0;   //!< WFQ virtual start time
+        std::uint64_t tag = 0;   //!< WFQ virtual start time (host only)
         std::uint64_t seq = 0;   //!< arrival order; breaks tag ties
         TenantId tenant = 0;
+        BusClass cls = BusClass::HostRead;
     };
 
-    /** ChannelGrant dispatch target: the bus was released. */
+    /** How the current owner's release will happen. */
+    enum class Release : std::uint8_t
+    {
+        Latent,  //!< nobody waits: passes silently at its reserved key
+        Posted,  //!< a ChannelGrant is queued under the reserved key
+        Folded,  //!< the owner's ReadXferDone releases the bus
+    };
+
+    /** Is the bus still held at the current dispatch point? */
+    bool held() const;
+    /** ChannelGrant / ReadXferDone dispatch target: the bus was
+     *  released. */
     void onGrantDone();
-    void grantTo(const Waiter &w, BusClass cls);
+    void grantTo(const Waiter &w);
 
     std::uint64_t weightOf(TenantId tenant) const;
 
-    std::array<std::deque<Waiter>, kBusClasses> waiters;
+    std::vector<Waiter> waiters;  //!< unordered; at most one per chip
+    std::size_t maxWaiters = 0;
     bool owned = false;
+    Release release = Release::Latent;
+    std::uint32_t releaseKey = 0;  //!< reservation slot in `eq`
     int idx = 0;
     EventQueue *eq = nullptr;
     SsdMetrics *metrics = nullptr;
+    std::vector<Grant> *grantLog = nullptr;
 
     /** @name WFQ state (SFQ: Goyal et al.) */
     /** @{ */

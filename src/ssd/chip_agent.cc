@@ -207,7 +207,7 @@ ChipAgent::onDieOpComplete()
     channel.request(*this, busClassOf(curOp), curOp.tenant);
 }
 
-Tick
+BusRelease
 ChipAgent::channelGranted()
 {
     const Tick now = eq.now();
@@ -221,21 +221,23 @@ ChipAgent::channelGranted()
         opEnd = cmd_end + erase->seg.duration;
         metrics.eraseBusyTime += erase->seg.duration;
         pendingOp = eq.scheduleEraseSegmentAt(opEnd, *this);
-        return cmd_end;
+        return BusRelease{cmd_end, false};
     }
     AERO_CHECK(phase == Phase::AwaitBus, "channel grant without a waiter");
     phase = Phase::Xfer;
     const Tick xfer_end = now + cfg.channelXferPerPage;
     if (curOp.kind == PageOp::Kind::UserRead ||
         curOp.kind == PageOp::Kind::GcRead) {
-        // Sense already ran; the op completes when the data is out.
+        // Sense already ran; the op completes when the data is out, and
+        // the same event hands the bus on.
         opEnd = xfer_end;
-    } else {
-        const Tick tprog = curOp.tprog ? curOp.tprog : nand.params().tProg;
-        opEnd = xfer_end + tprog;
+        pendingOp = eq.scheduleReadXferDoneAt(opEnd, *this, curOp);
+        return BusRelease{xfer_end, true};
     }
+    const Tick tprog = curOp.tprog ? curOp.tprog : nand.params().tProg;
+    opEnd = xfer_end + tprog;
     pendingOp = eq.scheduleChipOpAt(opEnd, *this, curOp);
-    return xfer_end;
+    return BusRelease{xfer_end, false};
 }
 
 void

@@ -113,9 +113,10 @@ class ChipAgent
 
     /**
      * Channel grant (queued mode): start the transfer (or erase command)
-     * this agent was waiting on. @return the tick the bus is released.
+     * this agent was waiting on. @return when the bus is released; a
+     * read's ReadXferDone at that tick releases it (`folded`).
      */
-    Tick channelGranted();
+    BusRelease channelGranted();
 
     /** @name Kernel dispatch targets (EventQueue::step() switch) */
     /** @{ */

@@ -55,7 +55,7 @@ Ftl::Ftl(const SsdConfig &cfg_, EventQueue &eq_)
     channels.resize(cfg.channels);
     stats.channelBusyTicks.assign(cfg.channels, 0);
     for (int c = 0; c < cfg.channels; ++c)
-        channels[c].init(c, &eq, &stats);
+        channels[c].init(c, &eq, &stats, cfg.chipsPerChannel);
     if (sloPolicyWeights(cfg.sloPolicy) && !cfg.slo.empty()) {
         std::vector<std::uint32_t> weights(
             static_cast<std::size_t>(cfg.slo.maxTenant()) + 1, 1);
@@ -103,6 +103,12 @@ ChipAgent &
 Ftl::agentAt(int i)
 {
     return *agents.at(i);
+}
+
+Channel &
+Ftl::channelAt(int c)
+{
+    return channels.at(c);
 }
 
 void
@@ -289,14 +295,14 @@ Ftl::submit(const TraceRecord &rec)
         // which must see the queues exactly as sequential admission
         // would leave them.
         for (std::uint32_t i = 0; i < rec.pages; ++i) {
-            const Lpn lpn = (rec.startPage + i) % mapping.logicalPages();
-            submitReadPage(lpn, id, rec.tenant, true);
+            submitReadPage(mapping.wrap(rec.startPage + i), id, rec.tenant,
+                           true);
         }
         flushReadBurst();
         return;
     }
     for (std::uint32_t i = 0; i < rec.pages; ++i) {
-        const Lpn lpn = (rec.startPage + i) % mapping.logicalPages();
+        const Lpn lpn = mapping.wrap(rec.startPage + i);
         if (!submitWritePage(lpn, id, rec.tenant))
             stalledWrites.push_back(StalledWrite{lpn, id, rec.tenant});
     }

@@ -66,6 +66,7 @@ class Ftl : public FtlCallbacks
     NandChip &chipAt(int i);
     EraseScheme &schemeAt(int i);
     ChipAgent &agentAt(int i);
+    Channel &channelAt(int c);
     const PageMapping &pageMapping() const { return mapping; }
     const BlockManager &blockManager() const { return blocks; }
 

@@ -50,6 +50,14 @@ class PageMapping
 
     std::uint64_t logicalPages() const { return l2p.size; }
 
+    /** A trace page number folded into the logical space. In-range
+     *  pages, nearly all of them, skip the 64-bit division. */
+    Lpn
+    wrap(std::uint64_t page) const
+    {
+        return page < l2p.size ? page : page % l2p.size;
+    }
+
     /** Current physical location of a logical page (kInvalidPpn if none). */
     Ppn lookup(Lpn lpn) const;
 

@@ -185,15 +185,6 @@ TracePump::fireThrottled(TenantId tenant)
     }
 }
 
-Lpn
-TracePump::firstLpn(const TraceRecord &rec) const
-{
-    // In-range start pages (nearly all) skip the 64-bit division: it
-    // sits on the admission path, ahead of the prefetch it addresses.
-    const Lpn pages = ftl->pageMapping().logicalPages();
-    return rec.startPage < pages ? rec.startPage : rec.startPage % pages;
-}
-
 bool
 TracePump::advance()
 {
@@ -210,7 +201,7 @@ TracePump::advance()
             break;
         }
         aheadCount += 1;
-        mapping.prefetch(firstLpn(rec));
+        mapping.prefetch(mapping.wrap(rec.startPage));
     }
     hasPending = aheadCount != 0;
     if (!hasPending)
@@ -222,7 +213,7 @@ TracePump::advance()
     if (aheadCount >= half) {
         const TraceRecord &mid = ahead[(aheadHead + half - 1) & mask];
         if (mid.op == IoOp::Write)
-            mapping.prefetchReverse(firstLpn(mid));
+            mapping.prefetchReverse(mapping.wrap(mid.startPage));
     }
     return true;
 }

@@ -108,10 +108,6 @@ struct TracePump
      *  FTL when the tenant is ungated). */
     void admit(const TraceRecord &rec);
 
-    /** The first logical page `rec` touches, wrapped as Ftl::submit
-     *  wraps it. */
-    Lpn firstLpn(const TraceRecord &rec) const;
-
     /** Records pulled but not yet in `pending`, oldest at aheadHead. */
     std::array<TraceRecord, kAdmitLookahead> ahead{};
     std::size_t aheadHead = 0;

@@ -153,6 +153,40 @@ TEST(Felp, WeakerEccReducesAggression)
               strong.allowedLeftoverSlots(1000.0));
 }
 
+// The memo must return exactly what the margin bisection returns, also
+// when PECs share a table line (PEC mod 64) and evict each other, and
+// for PECs it does not cache (fractional, negative).
+TEST(Felp, MemoMatchesTheUncachedMarginAcrossCollisions)
+{
+    const auto p = ChipParams::tlc3d();
+    WearModel wear(p);
+    const FelpConfig cfg{true, 18.0, 63};
+    Felp felp(p, wear, Ept::canonical(p), cfg);
+    const auto uncached = [&](double pec) {
+        const double margin = static_cast<double>(cfg.rberRequirement) -
+                              cfg.marginPad - wear.predictedBaseRber(pec);
+        return margin <= 0.0 ? 0.0 : wear.leftoverForResidual(margin);
+    };
+    const double pecs[] = {0.0,    64.0,   128.0, 0.0,    64.0,  1000.0,
+                           1064.0, 1000.5, 1000.0, 1001.0, 937.0, 5000.0,
+                           20000.0, 20064.0, -1.0, 1064.0, 0.0, 1e19};
+    for (int round = 0; round < 2; ++round) {
+        for (const double pec : pecs) {
+            SCOPED_TRACE(pec);
+            EXPECT_EQ(felp.allowedLeftoverSlots(pec), uncached(pec));
+        }
+    }
+    // Predictions on a memo-warm Felp match a fresh one's.
+    const double f = expectedFailBits(p, 2.0);
+    for (const double pec : pecs) {
+        Felp fresh(p, wear, Ept::canonical(p), cfg);
+        const FelpPrediction a = felp.predict(2, f, pec);
+        const FelpPrediction b = fresh.predict(2, f, pec);
+        EXPECT_EQ(a.slots, b.slots);
+        EXPECT_EQ(a.allowedLeftover, b.allowedLeftover);
+    }
+}
+
 TEST(AeroScheme, CompletesFreshBlockWithShallowErasure)
 {
     auto chip = makeChip();

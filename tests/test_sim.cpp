@@ -299,6 +299,16 @@ TEST(Mapping, PhysicalSpaceBeyond32BitPpnPanics)
                  "exceeds the packed 32-bit PPN range");
 }
 
+TEST(Mapping, WrapFoldsOnlyOutOfRangePages)
+{
+    PageMapping m(100, 1, 4, 64);
+    EXPECT_EQ(m.wrap(0), 0u);
+    EXPECT_EQ(m.wrap(99), 99u);
+    EXPECT_EQ(m.wrap(100), 0u);
+    EXPECT_EQ(m.wrap(250), 50u);
+    EXPECT_EQ(m.wrap(~0ULL), ~0ULL % 100);
+}
+
 TEST(Mapping, EncodeDecodeExhaustive)
 {
     PageMapping m(64, 3, 5, 7);

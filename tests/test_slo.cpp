@@ -334,7 +334,8 @@ struct ArbiterRig
     {
         cfg.arbitration = Arbitration::Queued;
         cfg.channelXferPerPage = 2000 * kUs;  // bus-bound on purpose
-        channel.init(0, &eq, &metrics);
+        channel.init(0, &eq, &metrics,
+                     static_cast<int>(weights.size() * kChipsPerTenant));
         channel.enableWfq(weights);
         metrics.enableTenantTracking(weights.size());
         for (std::size_t a = 0; a < weights.size() * kChipsPerTenant; ++a) {
