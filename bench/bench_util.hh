@@ -14,7 +14,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -184,11 +183,11 @@ struct Artifacts
     std::string jsonPath;
     std::string csvPath;
     /**
-     * `--checkpoint <path>`: journal every completed campaign task to
-     * this file and, on a rerun, resume from it instead of restarting
-     * from zero (see exp/campaign.hh). All fourteen gated benches
-     * accept it; the resumed artifacts are byte-identical to an
-     * uninterrupted run at any thread count.
+     * `--checkpoint <dir>`: journal every completed campaign task into
+     * this journal directory and, on a rerun, resume from it instead of
+     * restarting from zero (see exp/campaign.hh). All sixteen gated
+     * benches accept it; the resumed artifacts are byte-identical to an
+     * uninterrupted run at any thread or worker count.
      */
     std::string checkpointPath;
     /**
@@ -200,9 +199,8 @@ struct Artifacts
     bool small = false;
     /**
      * `--workers <n>`: fork n campaign worker processes sharing the
-     * `--checkpoint` path as an aero-campaign/2 journal *directory*
-     * (requires `--checkpoint`; see exp/campaign.hh). Zero means
-     * single-process.
+     * `--checkpoint` journal directory (requires `--checkpoint`; see
+     * exp/campaign.hh). Zero means single-process.
      */
     int workers = 0;
     /** This process's worker index after forkWorkers(); -1 = driver. */
@@ -252,11 +250,9 @@ struct Artifacts
      * campaign configuration — every knob that influences the numbers
      * must be in it, so a resumed run can never splice stale records.
      *
-     * With `--workers` (or when the checkpoint path is already a
-     * journal directory from an earlier multi-worker run), the journal
-     * opens in directory mode: a forked worker appends to
-     * `journal.w<i>.jsonl` with file-locked claims armed; the driver
-     * merges every worker file under the id "merge" with claims off.
+     * The driver appends to the journal directory as worker "merge"
+     * with claims off; a forked worker appends to `journal.w<i>.jsonl`
+     * with file-locked claims armed.
      */
     std::unique_ptr<CampaignJournal>
     openJournal(const std::string &bench, Json config) const
@@ -270,9 +266,6 @@ struct Artifacts
             options.workerId = "w";
             options.workerId += std::to_string(workerIndex);
             options.claims = true;
-        } else if (workers > 1 ||
-                   std::filesystem::is_directory(checkpointPath)) {
-            options.workerId = "merge";
         }
         auto journal = std::make_unique<CampaignJournal>(
             checkpointPath, bench, std::move(config), options);
@@ -316,7 +309,7 @@ struct Artifacts
 
 /**
  * Parse `--json <path>` / `--csv <path>` (plus `--small` when
- * @p allow_small, `--checkpoint <path>` when @p allow_checkpoint, and
+ * @p allow_small, `--checkpoint <dir>` when @p allow_checkpoint, and
  * `--workers <n>` when @p allow_workers); fatal on anything else, so a
  * bench that has not wired a journal rejects `--checkpoint` instead of
  * silently ignoring it.
@@ -356,7 +349,7 @@ parseArtifactArgs(int argc, char **argv, bool allow_small = false,
             AERO_FATAL("unknown argument '", arg,
                        "' (usage: ", argv[0],
                        " [--json <path>] [--csv <path>]",
-                       allow_checkpoint ? " [--checkpoint <path>]" : "",
+                       allow_checkpoint ? " [--checkpoint <dir>]" : "",
                        allow_workers ? " [--workers <n>]" : "",
                        allow_small ? " [--small]" : "", ")");
         if (i + 1 >= argc)

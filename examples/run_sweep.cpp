@@ -12,25 +12,26 @@
  *
  * Every flag is optional; the default is a single Baseline/prxy/0.5K
  * point. `--progress` prints per-point completion lines to stderr.
- * `--checkpoint PATH` journals each completed point to PATH and, on a
- * rerun, resumes from it instead of restarting the grid from zero; the
- * final artifacts are bit-identical to an uninterrupted run.
+ * `--checkpoint DIR` journals each completed point into the journal
+ * directory DIR and, on a rerun, resumes from it instead of restarting
+ * the grid from zero; the final artifacts are bit-identical to an
+ * uninterrupted run.
  *
- * Distributed campaigns (see exp/campaign.hh for the journal formats):
- * `--workers N` forks N worker processes sharing `--checkpoint PATH`
- * as a journal directory, coordinating through file-locked claims;
- * `--shard i/N` runs only the points at expand() indices congruent to
- * i mod N (the cross-machine split — point each shard's process at the
- * same journal directory, or merge their directories afterwards);
- * `--compact PATH` rewrites a journal (file or directory) down to one
- * deduplicated file and exits. Artifacts stay byte-identical to a
- * single-process clean run at any worker or shard count.
+ * Distributed campaigns (see exp/campaign.hh for the journal format):
+ * `--workers N` forks N worker processes sharing `--checkpoint DIR`,
+ * coordinating through file-locked claims; `--shard i/N` runs only the
+ * points at expand() indices congruent to i mod N (the cross-machine
+ * split — point each shard's process at the same journal directory, or
+ * merge their directories afterwards); `--compact DIR` rewrites a
+ * journal directory down to one deduplicated file and exits; `--status
+ * DIR` prints per-worker progress and claim ownership and exits.
+ * Artifacts stay byte-identical to a single-process clean run at any
+ * worker or shard count.
  */
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -116,8 +117,8 @@ usage(const char *prog)
         "AERO_SWEEP_THREADS)\n"
         "  --json path           write the JSON report\n"
         "  --csv path            write the CSV rows\n"
-        "  --checkpoint path     journal completed points to this path "
-        "and resume from it\n"
+        "  --checkpoint dir      journal completed points to this "
+        "directory and resume from it\n"
         "  --campaign name       journal campaign name (default "
         "run_sweep)\n"
         "  --workers n           fork n worker processes sharing the "
@@ -126,9 +127,8 @@ usage(const char *prog)
         "i mod N\n"
         "  --fsync               fsync every journal record (power-loss "
         "durability)\n"
-        "  --compact path        compact a journal (file or directory) "
-        "and exit\n"
-        "  --status path         print who holds claims and per-worker "
+        "  --compact dir         compact a journal directory and exit\n"
+        "  --status dir          print who holds claims and per-worker "
         "progress for a journal, then exit\n"
         "  --progress            per-point progress on stderr\n",
         prog);
@@ -293,9 +293,6 @@ main(int argc, char **argv)
             // processes can share one directory concurrently.
             options.workerId = "shard";
             options.workerId += std::to_string(shard_index);
-        } else if (workers > 1 ||
-                   std::filesystem::is_directory(checkpoint_path)) {
-            options.workerId = "merge";
         }
         // Journal under this driver's bench-style name (--campaign, by
         // default "run_sweep") so the artifact self-identifies like a

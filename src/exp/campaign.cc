@@ -1,12 +1,14 @@
 #include "exp/campaign.hh"
 
 #include <algorithm>
+#include <cctype>
 #include <cerrno>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <thread>
 #include <unordered_set>
@@ -30,8 +32,7 @@ namespace aero
 namespace
 {
 
-constexpr const char *kSchema = "aero-campaign/1";
-constexpr const char *kSchemaDir = "aero-campaign/2";
+constexpr const char *kSchema = "aero-campaign/2";
 constexpr const char *kSchemaClaims = "aero-claims/1";
 constexpr const char *kClaimsFile = "claims.jsonl";
 constexpr const char *kCompactedFile = "journal.compacted.jsonl";
@@ -173,6 +174,274 @@ pidAlive(long long pid)
 #endif
 }
 
+/** The final line of a JSON-lines file, when a crash or an append still
+ *  in flight left it torn. */
+struct TornTail
+{
+    std::size_t lineNo = 0;  //!< 0: the text ends on an intact line
+    bool parsed = false;     //!< complete JSON, only the newline missing
+    Json row;                //!< the line's JSON when parsed
+    std::string error;       //!< why the line is not intact
+};
+
+/**
+ * The one JSON-lines walker every journal and claims reader shares.
+ * Hands each intact line — parsed and newline-terminated — to @p onRow
+ * in order and returns the byte offset just past the last of them.
+ * Only the final line may be torn (empty, unparseable, or missing its
+ * newline, as a crash or an append still in flight leaves it): the walk
+ * stops there and describes it in @p torn. A bad line anywhere else is
+ * fatal naming @p path: "not a <what>" on line 1, "corrupt" after it.
+ */
+std::uint64_t
+walkLines(const std::string &path, const std::string &text,
+          const char *what,
+          const std::function<void(const Json &, std::size_t)> &onRow,
+          TornTail *torn)
+{
+    std::uint64_t good = 0;
+    std::size_t lineNo = 0;
+    while (good < text.size()) {
+        const std::size_t newline = text.find('\n', good);
+        const bool terminated = newline != std::string::npos;
+        const std::size_t end = terminated ? newline : text.size();
+        lineNo += 1;
+        Json row;
+        Json::ParseError err;
+        const bool parsed =
+            end > good &&
+            Json::parse(text.substr(good, end - good), &row, &err);
+        if (parsed && terminated) {
+            onRow(row, lineNo);
+            good = end + 1;
+            continue;
+        }
+        const std::string why = end == good ? "empty record"
+                                : parsed    ? "missing newline"
+                                            : err.toString();
+        if (end + 1 < text.size()) {
+            if (lineNo == 1)
+                AERO_FATAL("'", path, "' is not a ", what, ": line 1: ", why);
+            AERO_FATAL(what, " '", path, "' is corrupt: line ", lineNo, ": ",
+                       why);
+        }
+        torn->lineNo = lineNo;
+        torn->parsed = parsed;
+        torn->row = std::move(row);
+        torn->error = why;
+        break;
+    }
+    return good;
+}
+
+/** The (campaign, fingerprint, config) every file of a journal carries. */
+struct JournalPin
+{
+    std::string campaign;
+    std::string fp;  //!< empty: adopt the first header checked
+    Json config;
+};
+
+/**
+ * The one journal header check: @p row must be an aero-campaign/2
+ * header for @p pin's campaign and fingerprint (adopted from @p row
+ * while the pin is empty). Fatal naming @p file and, for a changed
+ * configuration, the first field that differs. Returns the header's
+ * worker id.
+ */
+std::string
+checkHeader(const std::string &file, const Json &row, std::size_t lineNo,
+            JournalPin &pin)
+{
+    const Json *schema = row.find("schema");
+    if (!schema || !schema->isString() || schema->asString() != kSchema) {
+        AERO_FATAL("'", file, "' is not an ", kSchema, " journal (line ",
+                   lineNo, ")");
+    }
+    const Json *name = row.find("campaign");
+    const Json *fp = row.find("fingerprint");
+    const Json *worker = row.find("worker");
+    const Json *config = row.find("config");
+    if (!name || !name->isString() || !fp || !fp->isString() ||
+        !worker || !worker->isString() || !config || !config->isObject()) {
+        AERO_FATAL("checkpoint '", file, "' has a malformed header (line ",
+                   lineNo, ")");
+    }
+    if (pin.fp.empty()) {
+        pin = JournalPin{name->asString(), fp->asString(), *config};
+    } else if (name->asString() != pin.campaign) {
+        AERO_FATAL("checkpoint '", file, "' belongs to campaign '",
+                   name->asString(), "', expected '", pin.campaign,
+                   "' — refusing to merge another campaign's journal");
+    } else if (fp->asString() != pin.fp) {
+        const std::string field = firstMismatch(*config, pin.config, "");
+        AERO_FATAL("checkpoint '", file, "' was written for a different '",
+                   pin.campaign, "' campaign configuration (fingerprint ",
+                   fp->asString(), ", expected ", pin.fp, "): ",
+                   field.empty() ? "stored configuration matches — "
+                                   "journal corrupt?"
+                                 : field);
+    }
+    return worker->asString();
+}
+
+/** One journal.*.jsonl file as mergeJournal() read it. */
+struct JournalFileScan
+{
+    std::string path;
+    std::string worker;  //!< the header's worker id; empty: no header
+    std::size_t records = 0;
+    std::uint64_t goodBytes = 0;  //!< end of the last intact line
+};
+
+using RecordFn = std::function<void(const Json &key, const Json &payload)>;
+
+/**
+ * The one directory merge that journal load, compaction and status
+ * share. Walks every journal.*.jsonl file in @p dir in sorted order,
+ * checks each header against @p pin and hands every record — each must
+ * carry the pinned fingerprint — to @p onRecord in merge order, so a
+ * last-wins map resolves a duplicate key to the last file's payload.
+ * A torn final line is skipped with a warning. In @p ownFile, the file
+ * the caller appends to and so truncates, a torn first line must still
+ * parse as this campaign's header: anything else is a file that is not
+ * a journal, which must fail loudly rather than be truncated.
+ */
+std::vector<JournalFileScan>
+mergeJournal(const std::string &dir, JournalPin &pin,
+             const std::string &ownFile, const RecordFn &onRecord)
+{
+    std::vector<JournalFileScan> scans;
+    for (const auto &file : listJournalFiles(dir)) {
+        JournalFileScan scan;
+        scan.path = file;
+        TornTail torn;
+        const auto onRow = [&](const Json &row, std::size_t lineNo) {
+            if (lineNo == 1) {
+                scan.worker = checkHeader(file, row, lineNo, pin);
+                return;
+            }
+            const Json *fp = row.find("fingerprint");
+            const Json *key = row.find("key");
+            const Json *payload = row.find("payload");
+            if (!fp || !fp->isString() || !key || !payload) {
+                AERO_FATAL("checkpoint '", file,
+                           "' has a malformed record on line ", lineNo);
+            }
+            if (fp->asString() != pin.fp) {
+                AERO_FATAL("checkpoint '", file, "': record on line ",
+                           lineNo, " carries fingerprint ", fp->asString(),
+                           ", expected ", pin.fp,
+                           " — refusing to splice records from a "
+                           "different campaign");
+            }
+            scan.records += 1;
+            onRecord(*key, *payload);
+        };
+        scan.goodBytes = walkLines(file, readFileOrEmpty(file),
+                                   "campaign journal", onRow, &torn);
+        const bool own = file == ownFile;
+        if (torn.lineNo == 1 && torn.parsed)
+            checkHeader(file, torn.row, 1, pin);
+        else if (torn.lineNo == 1 && own)
+            AERO_FATAL("'", file, "' is not a campaign journal: line 1: ",
+                       torn.error);
+        if (torn.lineNo > 0) {
+            AERO_WARN("checkpoint '", file, "': ",
+                      own ? "dropping" : "ignoring", " torn ",
+                      torn.lineNo == 1 ? "header" : "record", " on line ",
+                      torn.lineNo, " (", torn.error, ")");
+        }
+        scans.push_back(std::move(scan));
+    }
+    return scans;
+}
+
+/** mergeJournal() for the read-only tools: fatal without a journal. */
+std::vector<JournalFileScan>
+mergeExistingJournal(const std::string &dir, JournalPin &pin,
+                     const RecordFn &onRecord)
+{
+    std::error_code ec;
+    if (!std::filesystem::is_directory(dir, ec))
+        AERO_FATAL("no campaign journal directory at '", dir, "'");
+    auto scans = mergeJournal(dir, pin, "", onRecord);
+    if (pin.fp.empty()) {
+        AERO_FATAL("no campaign journal in '", dir,
+                   "': no journal.*.jsonl file has a header");
+    }
+    return scans;
+}
+
+/** claims.jsonl as readClaims() found it. */
+struct ClaimsScan
+{
+    bool sawHeader = false;
+    std::uint64_t goodBytes = 0;  //!< end of the last intact line
+    /** First-claim order, last claim per key wins; live and completed
+     *  are left for the caller. */
+    std::vector<CampaignClaimStatus> claims;
+    std::unordered_map<std::string, std::size_t> indexByKey;
+};
+
+/**
+ * The one claims-file reader: the header and every claim must carry
+ * fingerprint @p fp. A torn final line is a crash mid-claim (or, read
+ * without the lock, a claim still in flight): it never took effect.
+ */
+ClaimsScan
+readClaims(const std::string &path, const std::string &text,
+           const std::string &fp)
+{
+    ClaimsScan scan;
+    TornTail torn;
+    const auto onRow = [&](const Json &row, std::size_t lineNo) {
+        const Json *rowFp = row.find("fingerprint");
+        if (lineNo == 1) {
+            const Json *schema = row.find("schema");
+            if (!schema || !schema->isString() ||
+                schema->asString() != kSchemaClaims || !rowFp ||
+                !rowFp->isString()) {
+                AERO_FATAL("'", path, "' is not an ", kSchemaClaims,
+                           " claims file (line 1)");
+            }
+            if (rowFp->asString() != fp) {
+                AERO_FATAL("claims file '", path,
+                           "' belongs to a different campaign "
+                           "configuration (fingerprint ",
+                           rowFp->asString(), ", expected ", fp, ")");
+            }
+            scan.sawHeader = true;
+            return;
+        }
+        const Json *key = row.find("key");
+        const Json *worker = row.find("worker");
+        const Json *pid = row.find("pid");
+        if (!rowFp || !rowFp->isString() || !key || !worker ||
+            !worker->isString() || !pid || !pid->isNumeric()) {
+            AERO_FATAL("claims file '", path,
+                       "' has a malformed claim on line ", lineNo);
+        }
+        if (rowFp->asString() != fp) {
+            AERO_FATAL("claims file '", path, "': claim on line ", lineNo,
+                       " carries fingerprint ", rowFp->asString(),
+                       ", expected ", fp);
+        }
+        CampaignClaimStatus claim;
+        claim.key = *key;
+        claim.worker = worker->asString();
+        claim.pid = static_cast<long long>(pid->asInt64());
+        const auto [it, fresh] =
+            scan.indexByKey.emplace(key->dump(), scan.claims.size());
+        if (fresh)
+            scan.claims.push_back(std::move(claim));
+        else
+            scan.claims[it->second] = std::move(claim);
+    };
+    scan.goodBytes = walkLines(path, text, "claims file", onRow, &torn);
+    return scan;
+}
+
 } // namespace
 
 std::string
@@ -182,28 +451,21 @@ CampaignJournal::fingerprint(const std::string &campaign,
     return hashHex(campaign + '\n' + config.dump());
 }
 
-const char *
-CampaignJournal::schema() const
-{
-    return directoryMode() ? kSchemaDir : kSchema;
-}
-
 CampaignJournal::CampaignJournal(std::string path, std::string name,
                                  Json config, JournalOptions opts)
     : journalPath(std::move(path)), campaign(std::move(name)),
       fp(fingerprint(campaign, config)), configJson(std::move(config)),
       options(std::move(opts))
 {
-    for (const char c : options.workerId) {
-        if (!std::isalnum(static_cast<unsigned char>(c)) && c != '.' &&
-            c != '_' && c != '-') {
-            AERO_FATAL("journal worker id '", options.workerId,
-                       "' may only contain letters, digits, and '._-'");
-        }
-    }
-    if (options.claims && options.workerId.empty()) {
-        AERO_FATAL("journal claims need a directory-mode journal (set "
-                   "JournalOptions::workerId)");
+    const auto idChar = [](unsigned char c) {
+        return std::isalnum(c) || c == '.' || c == '_' || c == '-';
+    };
+    if (options.workerId.empty() ||
+        !std::all_of(options.workerId.begin(), options.workerId.end(),
+                     idChar)) {
+        AERO_FATAL("journal worker id '", options.workerId,
+                   "' may only contain letters, digits, and '._-' (at "
+                   "least one)");
     }
     if (const char *env = std::getenv("AERO_JOURNAL_FSYNC")) {
         if (std::strcmp(env, "1") == 0)
@@ -214,22 +476,50 @@ CampaignJournal::CampaignJournal(std::string path, std::string name,
             AERO_FATAL("AERO_JOURNAL_FSYNC must be 0 or 1, got '", env,
                        "'");
     }
-    if (directoryMode()) {
-        loadDirectory();
-        return;
-    }
-    // A bad journal path must fail naming the path, not surface later
-    // as a raw stream failure once the first record is flushed.
-    const auto parent =
-        std::filesystem::path(journalPath).parent_path();
+
+    namespace fs = std::filesystem;
+    const fs::path dir(journalPath);
     std::error_code ec;
-    if (!parent.empty() && !std::filesystem::is_directory(parent, ec)) {
-        AERO_FATAL("cannot create checkpoint '", journalPath,
-                   "': parent directory '", parent.string(),
-                   "' does not exist");
+    if (!fs::exists(dir, ec)) {
+        // A bad journal path must fail naming the path, not surface
+        // later as a raw stream failure once the first record is flushed.
+        const auto parent = dir.parent_path();
+        if (!parent.empty() && !fs::is_directory(parent, ec)) {
+            AERO_FATAL("cannot create checkpoint '", journalPath,
+                       "': parent directory '", parent.string(),
+                       "' does not exist");
+        }
+        // Forked workers race to create the directory; losing the race
+        // to a sibling is success.
+        fs::create_directory(dir, ec);
+        if (!fs::is_directory(dir)) {
+            AERO_FATAL("cannot create checkpoint '", journalPath, "': ",
+                       ec.message());
+        }
+    } else if (!fs::is_directory(dir, ec)) {
+        AERO_FATAL("checkpoint '", journalPath,
+                   "' exists and is not a journal directory (an ",
+                   kSchema, " journal is a directory of "
+                   "journal.<worker>.jsonl files)");
     }
-    appendPath = journalPath;
-    load();
+    appendPath =
+        (dir / ("journal." + options.workerId + ".jsonl")).string();
+
+    JournalPin pin{campaign, fp, configJson};
+    std::uint64_t keepBytes = 0;
+    bool sawHeader = false;
+    const auto scans = mergeJournal(
+        journalPath, pin, appendPath,
+        [this](const Json &key, const Json &payload) {
+            insert(key, payload);
+        });
+    for (const auto &scan : scans) {
+        if (scan.path == appendPath) {
+            keepBytes = scan.goodBytes;
+            sawHeader = !scan.worker.empty();
+        }
+    }
+    openForAppend(keepBytes, /*writeHeader=*/!sawHeader);
 }
 
 CampaignJournal::~CampaignJournal()
@@ -306,205 +596,6 @@ CampaignJournal::insert(Json key, Json payload)
 }
 
 void
-CampaignJournal::load()
-{
-    const std::string text = readFileOrEmpty(appendPath);
-    if (text.empty()) {
-        // No journal yet: start one.
-        openForAppend(0, /*writeHeader=*/true);
-        return;
-    }
-    std::uint64_t goodBytes = 0;
-    bool sawHeader = false;
-    loadText(appendPath, text, /*own=*/true, &goodBytes, &sawHeader);
-    openForAppend(goodBytes, /*writeHeader=*/!sawHeader);
-}
-
-void
-CampaignJournal::loadDirectory()
-{
-    namespace fs = std::filesystem;
-    const fs::path dir(journalPath);
-    std::error_code ec;
-    if (!fs::exists(dir, ec)) {
-        const auto parent = dir.parent_path();
-        if (!parent.empty() && !fs::is_directory(parent, ec)) {
-            AERO_FATAL("cannot create journal directory '", journalPath,
-                       "': parent directory '", parent.string(),
-                       "' does not exist");
-        }
-        // Forked workers race to create the directory; losing the race
-        // to a sibling is success.
-        fs::create_directory(dir, ec);
-        if (!fs::is_directory(dir)) {
-            AERO_FATAL("cannot create journal directory '", journalPath,
-                       "': ", ec.message());
-        }
-    } else if (!fs::is_directory(dir, ec)) {
-        AERO_FATAL("journal path '", journalPath,
-                   "' exists and is not a directory (directory-mode "
-                   "journal requested for worker '", options.workerId,
-                   "')");
-    }
-    appendPath =
-        (dir / ("journal." + options.workerId + ".jsonl")).string();
-
-    std::uint64_t goodBytes = 0;
-    bool sawHeader = false;
-    for (const auto &file : listJournalFiles(journalPath)) {
-        const std::string text = readFileOrEmpty(file);
-        if (text.empty())
-            continue;  // a sibling worker racing to write its header
-        if (file == appendPath) {
-            loadText(file, text, /*own=*/true, &goodBytes, &sawHeader);
-        } else {
-            std::uint64_t ignoredBytes = 0;
-            bool ignoredHeader = false;
-            loadText(file, text, /*own=*/false, &ignoredBytes,
-                     &ignoredHeader);
-        }
-    }
-    openForAppend(goodBytes, /*writeHeader=*/!sawHeader);
-}
-
-void
-CampaignJournal::loadText(const std::string &filePath,
-                          const std::string &text, bool own,
-                          std::uint64_t *outGoodBytes, bool *outSawHeader)
-{
-    // Walk the journal line by line. goodBytes tracks the end of the
-    // last intact record so a torn tail can be truncated away (own
-    // file only) before new records are appended after it.
-    std::uint64_t goodBytes = 0;
-    std::size_t lineNo = 0;
-    bool sawHeader = false;
-    std::size_t start = 0;
-    while (start < text.size()) {
-        std::size_t end = text.find('\n', start);
-        const bool terminated = end != std::string::npos;
-        if (!terminated)
-            end = text.size();
-        const std::string line = text.substr(start, end - start);
-        const std::size_t next = terminated ? end + 1 : end;
-        const bool isLast = next >= text.size();
-        lineNo += 1;
-
-        Json row;
-        Json::ParseError err;
-        if (line.empty() || !Json::parse(line, &row, &err)) {
-            // Torn-write tolerance covers the final *record* only. A
-            // header that does not parse means this is not a journal
-            // at all — truncating here would destroy whatever file the
-            // caller pointed us at by mistake. In a shared directory a
-            // sibling's file can legitimately end mid-write (it may
-            // still be appending), so a torn tail there is skipped
-            // without complaint about ownership.
-            if (isLast && (sawHeader || !own)) {
-                AERO_WARN("checkpoint '", filePath, "': ",
-                          own ? "dropping" : "ignoring",
-                          " torn record on line ", lineNo);
-                break;
-            }
-            AERO_FATAL("checkpoint '", filePath, "' is ",
-                       sawHeader ? "corrupt" : "not a campaign journal",
-                       ": line ", lineNo, ": ",
-                       line.empty() ? "empty record" : err.toString());
-        }
-
-        if (!terminated) {
-            // A final line missing its newline is a torn write even
-            // when the JSON happens to be complete: appending after it
-            // would fuse two records into one corrupt line. Truncate
-            // it away — for a torn *header*, only after validating it
-            // really is this campaign's journal (the non-journal-file
-            // protection above must still hold).
-            if (!sawHeader && own)
-                loadHeader(filePath, row, lineNo);
-            AERO_WARN("checkpoint '", filePath, "': ",
-                      own ? "dropping" : "ignoring",
-                      " unterminated ",
-                      sawHeader || !own ? "record" : "header",
-                      " on line ", lineNo);
-            break;
-        }
-
-        if (!sawHeader) {
-            loadHeader(filePath, row, lineNo);
-            sawHeader = true;
-        } else {
-            loadRecord(filePath, row, lineNo);
-        }
-        goodBytes = next;
-        start = next;
-    }
-    *outGoodBytes = goodBytes;
-    *outSawHeader = sawHeader;
-}
-
-void
-CampaignJournal::loadHeader(const std::string &filePath, const Json &row,
-                            std::size_t lineNo)
-{
-    const Json *storedSchema = row.find("schema");
-    if (!storedSchema || !storedSchema->isString() ||
-        storedSchema->asString() != schema()) {
-        AERO_FATAL("'", filePath, "' is not an ", schema(),
-                   " journal (line ", lineNo, ")");
-    }
-    const Json *storedName = row.find("campaign");
-    const Json *storedFp = row.find("fingerprint");
-    const Json *storedConfig = row.find("config");
-    const Json *storedWorker = row.find("worker");
-    if (!storedName || !storedName->isString() || !storedFp ||
-        !storedFp->isString() || !storedConfig ||
-        !storedConfig->isObject() ||
-        (directoryMode() &&
-         (!storedWorker || !storedWorker->isString()))) {
-        AERO_FATAL("checkpoint '", filePath,
-                   "' has a malformed header (line ", lineNo, ")");
-    }
-    if (storedName->asString() != campaign) {
-        AERO_FATAL("checkpoint '", filePath,
-                   "' belongs to campaign '", storedName->asString(),
-                   "', expected '", campaign,
-                   "' — refusing to resume another campaign's journal");
-    }
-    if (storedFp->asString() != fp) {
-        const std::string field =
-            firstMismatch(*storedConfig, configJson, "");
-        AERO_FATAL("checkpoint '", filePath, "' was written for a "
-                   "different '", campaign,
-                   "' campaign configuration (fingerprint ",
-                   storedFp->asString(), ", expected ", fp, "): ",
-                   field.empty()
-                       ? "stored configuration matches — journal "
-                         "corrupt?"
-                       : field);
-    }
-}
-
-void
-CampaignJournal::loadRecord(const std::string &filePath, const Json &row,
-                            std::size_t lineNo)
-{
-    const Json *recordFp = row.find("fingerprint");
-    const Json *key = row.find("key");
-    const Json *payload = row.find("payload");
-    if (!recordFp || !recordFp->isString() || !key || !payload) {
-        AERO_FATAL("checkpoint '", filePath,
-                   "' has a malformed record on line ", lineNo);
-    }
-    if (recordFp->asString() != fp) {
-        AERO_FATAL("checkpoint '", filePath, "': record on line ",
-                   lineNo, " carries fingerprint ", recordFp->asString(),
-                   ", expected ", fp,
-                   " — refusing to splice records from a different "
-                   "campaign");
-    }
-    insert(*key, *payload);
-}
-
-void
 CampaignJournal::openForAppend(std::uint64_t keepBytes, bool writeHeader)
 {
     std::error_code ec;
@@ -521,36 +612,32 @@ CampaignJournal::openForAppend(std::uint64_t keepBytes, bool writeHeader)
         AERO_FATAL("cannot open checkpoint '", appendPath,
                    "' for appending");
 #ifndef _WIN32
-    if (directoryMode()) {
-        // The worker file is this process's exclusive append target: a
-        // second live process under the same worker id would interleave
-        // torn lines. The advisory lock dies with the process, so a
-        // SIGKILLed worker never wedges the next resume; a briefly
-        // lingering orphan (its parent just died) gets a grace period.
-        bool locked = false;
-        for (int attempt = 0; attempt < 20; ++attempt) {
-            if (::flock(::fileno(out), LOCK_EX | LOCK_NB) == 0) {
-                locked = true;
-                break;
-            }
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(100));
+    // The worker file is this process's exclusive append target: a
+    // second live process under the same worker id would interleave
+    // torn lines. The advisory lock dies with the process, so a
+    // SIGKILLed worker never wedges the next resume; a briefly
+    // lingering orphan (its parent just died) gets a grace period.
+    bool locked = false;
+    for (int attempt = 0; attempt < 20; ++attempt) {
+        if (::flock(::fileno(out), LOCK_EX | LOCK_NB) == 0) {
+            locked = true;
+            break;
         }
-        if (!locked) {
-            AERO_FATAL("worker '", options.workerId,
-                       "' is already active on journal '", journalPath,
-                       "' (another live process holds the lock on '",
-                       appendPath, "')");
-        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    }
+    if (!locked) {
+        AERO_FATAL("worker '", options.workerId,
+                   "' is already active on journal '", journalPath,
+                   "' (another live process holds the lock on '",
+                   appendPath, "')");
     }
 #endif
     if (writeHeader) {
         Json header = Json::object();
-        header["schema"] = schema();
+        header["schema"] = kSchema;
         header["campaign"] = campaign;
         header["fingerprint"] = fp;
-        if (directoryMode())
-            header["worker"] = options.workerId;
+        header["worker"] = options.workerId;
         header["config"] = configJson;
         append(header);
     }
@@ -630,105 +717,26 @@ CampaignJournal::tryClaim(const Json &key)
 
     // Re-read the whole claims file under the lock: claims appended by
     // siblings since our last look must be visible before we decide.
-    std::string text;
-    {
-        char buf[65536];
-        off_t offset = 0;
-        for (;;) {
-            const ssize_t n =
-                ::pread(claimsFd, buf, sizeof(buf), offset);
-            if (n < 0) {
-                AERO_FATAL("cannot read claims file '", path, "': ",
-                           std::strerror(errno));
-            }
-            if (n == 0)
-                break;
-            text.append(buf, static_cast<std::size_t>(n));
-            offset += n;
-        }
-    }
-
-    struct Claim
-    {
-        std::string worker;
-        long long pid = 0;
-    };
-    std::unordered_map<std::string, Claim> claims;
-    bool sawHeader = false;
-    std::size_t lineNo = 0;
-    std::size_t start = 0;
-    while (start < text.size()) {
-        std::size_t end = text.find('\n', start);
-        const bool terminated = end != std::string::npos;
-        if (!terminated)
-            end = text.size();
-        const std::string line = text.substr(start, end - start);
-        const std::size_t next = terminated ? end + 1 : end;
-        const bool isLast = next >= text.size();
-        lineNo += 1;
-
-        Json row;
-        Json::ParseError err;
-        if (line.empty() || !Json::parse(line, &row, &err) ||
-            !terminated) {
-            // A torn final line is a crash mid-claim: that claim never
-            // took effect (its fsync did not complete), ignore it.
-            if (isLast)
-                break;
-            AERO_FATAL("claims file '", path, "' is corrupt: line ",
-                       lineNo, ": ",
-                       line.empty() ? "empty record" : err.toString());
-        }
-        if (!sawHeader) {
-            const Json *storedSchema = row.find("schema");
-            const Json *storedFp = row.find("fingerprint");
-            if (!storedSchema || !storedSchema->isString() ||
-                storedSchema->asString() != kSchemaClaims ||
-                !storedFp || !storedFp->isString()) {
-                AERO_FATAL("'", path, "' is not an ", kSchemaClaims,
-                           " claims file (line ", lineNo, ")");
-            }
-            if (storedFp->asString() != fp) {
-                AERO_FATAL("claims file '", path,
-                           "' belongs to a different campaign "
-                           "configuration (fingerprint ",
-                           storedFp->asString(), ", expected ", fp,
-                           ")");
-            }
-            sawHeader = true;
-        } else {
-            const Json *recordFp = row.find("fingerprint");
-            const Json *claimKey = row.find("key");
-            const Json *worker = row.find("worker");
-            const Json *pid = row.find("pid");
-            if (!recordFp || !recordFp->isString() || !claimKey ||
-                !worker || !worker->isString() || !pid ||
-                !pid->isNumeric()) {
-                AERO_FATAL("claims file '", path,
-                           "' has a malformed claim on line ", lineNo);
-            }
-            if (recordFp->asString() != fp) {
-                AERO_FATAL("claims file '", path, "': claim on line ",
-                           lineNo, " carries fingerprint ",
-                           recordFp->asString(), ", expected ", fp);
-            }
-            claims[claimKey->dump()] = Claim{
-                worker->asString(),
-                static_cast<long long>(pid->asInt64())};
-        }
-        start = next;
-    }
-
-    const auto it = claims.find(key.dump());
-    if (it != claims.end() && it->second.worker != options.workerId &&
-        pidAlive(it->second.pid)) {
-        return false;  // a live sibling owns this task
+    const std::string text = readFileOrEmpty(path);
+    const ClaimsScan scan = readClaims(path, text, fp);
+    const auto it = scan.indexByKey.find(key.dump());
+    if (it != scan.indexByKey.end()) {
+        const CampaignClaimStatus &claim = scan.claims[it->second];
+        if (claim.worker != options.workerId && pidAlive(claim.pid))
+            return false;  // a live sibling owns this task
     }
     // Ours: either unclaimed, already ours (a resumed worker re-claims
     // under its current pid), or stale — the claiming pid is dead and
-    // the task was never journaled, so reap it and take over.
+    // the task was never journaled, so reap it and take over. Every
+    // claim is written under the lock, so a torn tail is a dead
+    // writer's: cut it off, or our claim would fuse onto it.
+    if (scan.goodBytes < text.size() &&
+        ::ftruncate(claimsFd, static_cast<off_t>(scan.goodBytes)) != 0) {
+        AERO_FATAL("cannot truncate torn tail of claims file '", path,
+                   "': ", std::strerror(errno));
+    }
     std::string lines;
-    if (!sawHeader) {
+    if (!scan.sawHeader) {
         Json header = Json::object();
         header["schema"] = kSchemaClaims;
         header["campaign"] = campaign;
@@ -759,140 +767,36 @@ compactCampaignJournal(const std::string &path)
 {
     namespace fs = std::filesystem;
     CompactStats stats;
-    std::error_code ec;
-    const bool dirMode = fs::is_directory(path, ec);
-    std::vector<std::string> files;
-    if (dirMode) {
-        files = listJournalFiles(path);
-        if (files.empty()) {
-            AERO_FATAL("journal directory '", path,
-                       "' contains no journal.*.jsonl files to compact");
-        }
-    } else {
-        if (!fs::exists(path, ec))
-            AERO_FATAL("no campaign journal at '", path, "'");
-        files.push_back(path);
-    }
-    const char *schema = dirMode ? kSchemaDir : kSchema;
-
-    std::string campaign, fp;
-    Json config;
+    JournalPin pin;
     std::deque<std::pair<Json, Json>> merged;
     std::unordered_map<std::string, std::size_t> indexByKey;
-    for (const auto &file : files) {
-        const std::string text = readFileOrEmpty(file);
-        if (text.empty())
-            continue;
-        bool sawHeader = false;
-        std::size_t lineNo = 0;
-        std::size_t start = 0;
-        while (start < text.size()) {
-            std::size_t end = text.find('\n', start);
-            const bool terminated = end != std::string::npos;
-            if (!terminated)
-                end = text.size();
-            const std::string line = text.substr(start, end - start);
-            const std::size_t next = terminated ? end + 1 : end;
-            const bool isLast = next >= text.size();
-            lineNo += 1;
-
-            Json row;
-            Json::ParseError err;
-            if (line.empty() || !Json::parse(line, &row, &err) ||
-                !terminated) {
-                if (isLast && sawHeader) {
-                    AERO_WARN("compact: dropping torn record on line ",
-                              lineNo, " of '", file, "'");
-                    break;
-                }
-                AERO_FATAL("cannot compact '", path, "': '", file,
-                           "' is ",
-                           sawHeader ? "corrupt"
-                                     : "not a campaign journal",
-                           ": line ", lineNo, ": ",
-                           line.empty() ? "empty record"
-                                        : err.toString());
-            }
-            if (!sawHeader) {
-                const Json *storedSchema = row.find("schema");
-                const Json *storedName = row.find("campaign");
-                const Json *storedFp = row.find("fingerprint");
-                const Json *storedConfig = row.find("config");
-                if (!storedSchema || !storedSchema->isString() ||
-                    storedSchema->asString() != schema || !storedName ||
-                    !storedName->isString() || !storedFp ||
-                    !storedFp->isString() || !storedConfig ||
-                    !storedConfig->isObject()) {
-                    AERO_FATAL("cannot compact '", path, "': '", file,
-                               "' is not an ", schema,
-                               " journal (line ", lineNo, ")");
-                }
-                if (fp.empty()) {
-                    campaign = storedName->asString();
-                    fp = storedFp->asString();
-                    config = *storedConfig;
-                } else if (storedFp->asString() != fp) {
-                    AERO_FATAL("cannot compact '", path, "': '", file,
-                               "' belongs to a different campaign "
-                               "configuration (fingerprint ",
-                               storedFp->asString(), ", expected ", fp,
-                               ")");
-                }
-                sawHeader = true;
-            } else {
-                const Json *recordFp = row.find("fingerprint");
-                const Json *key = row.find("key");
-                const Json *payload = row.find("payload");
-                if (!recordFp || !recordFp->isString() || !key ||
-                    !payload) {
-                    AERO_FATAL("cannot compact '", path, "': '", file,
-                               "' has a malformed record on line ",
-                               lineNo);
-                }
-                if (recordFp->asString() != fp) {
-                    AERO_FATAL("cannot compact '", path, "': record on "
-                               "line ", lineNo, " of '", file,
-                               "' carries fingerprint ",
-                               recordFp->asString(), ", expected ", fp);
-                }
-                stats.recordsIn += 1;
-                const std::string canonical = key->dump();
-                const auto it = indexByKey.find(canonical);
-                if (it != indexByKey.end()) {
-                    merged[it->second].second = *payload;
-                } else {
-                    indexByKey.emplace(canonical, merged.size());
-                    merged.emplace_back(*key, *payload);
-                }
-            }
-            start = next;
-        }
-        if (sawHeader)
-            stats.files += 1;
-    }
-    if (fp.empty())
-        AERO_FATAL("journal '", path, "' has no header to compact");
+    const auto scans = mergeExistingJournal(
+        path, pin, [&](const Json &key, const Json &payload) {
+            stats.recordsIn += 1;
+            const auto [it, fresh] =
+                indexByKey.emplace(key.dump(), merged.size());
+            if (fresh)
+                merged.emplace_back(key, payload);
+            else
+                merged[it->second].second = payload;
+        });
     stats.recordsOut = merged.size();
 
-    const std::string outPath =
-        dirMode ? (fs::path(path) / kCompactedFile).string() : path;
-    const std::string tmpPath =
-        dirMode ? (fs::path(path) / ".compact.tmp").string()
-                : path + ".compact.tmp";
+    const std::string outPath = (fs::path(path) / kCompactedFile).string();
+    const std::string tmpPath = (fs::path(path) / ".compact.tmp").string();
     std::FILE *outFile = std::fopen(tmpPath.c_str(), "wb");
     if (!outFile)
         AERO_FATAL("cannot write compacted journal '", tmpPath, "'");
     Json header = Json::object();
-    header["schema"] = schema;
-    header["campaign"] = campaign;
-    header["fingerprint"] = fp;
-    if (dirMode)
-        header["worker"] = "compacted";
-    header["config"] = config;
+    header["schema"] = kSchema;
+    header["campaign"] = pin.campaign;
+    header["fingerprint"] = pin.fp;
+    header["worker"] = "compacted";
+    header["config"] = pin.config;
     std::string body = header.dump() + '\n';
     for (const auto &[key, payload] : merged) {
         Json row = Json::object();
-        row["fingerprint"] = fp;
+        row["fingerprint"] = pin.fp;
         row["key"] = key;
         row["payload"] = payload;
         body += row.dump() + '\n';
@@ -909,196 +813,56 @@ compactCampaignJournal(const std::string &path)
     std::fclose(outFile);
     if (!synced)
         AERO_FATAL("failed writing compacted journal '", tmpPath, "'");
+    std::error_code ec;
     fs::rename(tmpPath, outPath, ec);
     if (ec) {
         AERO_FATAL("cannot rename compacted journal into place ('",
                    tmpPath, "' -> '", outPath, "'): ", ec.message());
     }
-    if (dirMode) {
-        // The compacted file now supersedes every input; removal is
-        // safe at any point (a crash here only leaves files whose
-        // records the merge reproduces by dedup on the next open).
-        for (const auto &file : files) {
-            if (file != outPath)
-                fs::remove(file, ec);
-        }
-        fs::remove(fs::path(path) / kClaimsFile, ec);
+    // The compacted file now supersedes every merged input; removal is
+    // safe at any point (a crash here only leaves files whose records
+    // the merge reproduces by dedup on the next open). A file without
+    // a header contributed nothing and is left as it is.
+    for (const auto &scan : scans) {
+        if (scan.worker.empty())
+            continue;
+        stats.files += 1;
+        if (scan.path != outPath)
+            fs::remove(scan.path, ec);
     }
+    fs::remove(fs::path(path) / kClaimsFile, ec);
     return stats;
 }
 
 CampaignStatus
 campaignStatus(const std::string &path)
 {
-    namespace fs = std::filesystem;
     CampaignStatus status;
     status.path = path;
-    std::error_code ec;
-    const bool dirMode = fs::is_directory(path, ec);
-    std::vector<std::string> files;
-    if (dirMode) {
-        files = listJournalFiles(path);
-        if (files.empty()) {
-            AERO_FATAL("journal directory '", path,
-                       "' contains no journal.*.jsonl files");
-        }
-    } else {
-        if (!fs::exists(path, ec))
-            AERO_FATAL("no campaign journal at '", path, "'");
-        files.push_back(path);
-    }
-    status.schema = dirMode ? kSchemaDir : kSchema;
-
+    JournalPin pin;
     std::unordered_set<std::string> keys;
-    for (const auto &file : files) {
-        CampaignWorkerStatus ws;
-        ws.file = fs::path(file).filename().string();
-        const std::string text = readFileOrEmpty(file);
-        bool sawHeader = false;
-        std::size_t lineNo = 0;
-        std::size_t start = 0;
-        while (start < text.size()) {
-            std::size_t end = text.find('\n', start);
-            const bool terminated = end != std::string::npos;
-            if (!terminated)
-                end = text.size();
-            const std::string line = text.substr(start, end - start);
-            const std::size_t next = terminated ? end + 1 : end;
-            const bool isLast = next >= text.size();
-            lineNo += 1;
-
-            Json row;
-            Json::ParseError err;
-            if (line.empty() || !Json::parse(line, &row, &err) ||
-                !terminated) {
-                // A torn final line is a crash (or a write in flight
-                // on a live campaign): that record never took effect.
-                if (isLast)
-                    break;
-                AERO_FATAL("journal '", file, "' is corrupt: line ",
-                           lineNo, ": ",
-                           line.empty() ? "empty record"
-                                        : err.toString());
-            }
-            if (!sawHeader) {
-                const Json *storedSchema = row.find("schema");
-                const Json *storedName = row.find("campaign");
-                const Json *storedFp = row.find("fingerprint");
-                if (!storedSchema || !storedSchema->isString() ||
-                    storedSchema->asString() != status.schema ||
-                    !storedName || !storedName->isString() ||
-                    !storedFp || !storedFp->isString()) {
-                    AERO_FATAL("'", file, "' is not an ", status.schema,
-                               " journal (line ", lineNo, ")");
-                }
-                if (status.fingerprint.empty()) {
-                    status.campaign = storedName->asString();
-                    status.fingerprint = storedFp->asString();
-                } else if (storedFp->asString() != status.fingerprint) {
-                    AERO_FATAL("journal '", file,
-                               "' belongs to a different campaign "
-                               "configuration (fingerprint ",
-                               storedFp->asString(), ", expected ",
-                               status.fingerprint, ")");
-                }
-                if (const Json *worker = row.find("worker");
-                    worker && worker->isString())
-                    ws.worker = worker->asString();
-                sawHeader = true;
-            } else {
-                const Json *key = row.find("key");
-                if (!key) {
-                    AERO_FATAL("journal '", file,
-                               "' has a malformed record on line ",
-                               lineNo);
-                }
-                ws.records += 1;
-                keys.insert(key->dump());
-            }
-            start = next;
-        }
-        if (sawHeader)
-            status.workers.push_back(std::move(ws));
+    const auto scans = mergeExistingJournal(
+        path, pin,
+        [&](const Json &key, const Json &) { keys.insert(key.dump()); });
+    status.campaign = pin.campaign;
+    status.fingerprint = pin.fp;
+    for (const auto &scan : scans) {
+        if (scan.worker.empty())
+            continue;  // a worker still writing its header
+        status.workers.push_back(CampaignWorkerStatus{
+            std::filesystem::path(scan.path).filename().string(),
+            scan.worker, scan.records});
+        status.records += scan.records;
     }
-    if (status.fingerprint.empty())
-        AERO_FATAL("journal '", path, "' has no header");
-    for (const auto &ws : status.workers)
-        status.records += ws.records;
     status.distinctKeys = keys.size();
 
-    if (!dirMode)
-        return status;
-    const std::string claimsText = readFileOrEmpty(
-        (fs::path(path) / kClaimsFile).string());
-    // Last claim wins per key (a stale claim of a dead pid is re-taken
-    // by appending), but report in first-claim order for stability.
-    std::unordered_map<std::string, std::size_t> claimIndex;
-    bool sawHeader = false;
-    std::size_t lineNo = 0;
-    std::size_t start = 0;
-    while (start < claimsText.size()) {
-        std::size_t end = claimsText.find('\n', start);
-        const bool terminated = end != std::string::npos;
-        if (!terminated)
-            end = claimsText.size();
-        const std::string line = claimsText.substr(start, end - start);
-        const std::size_t next = terminated ? end + 1 : end;
-        const bool isLast = next >= claimsText.size();
-        lineNo += 1;
-
-        Json row;
-        Json::ParseError err;
-        if (line.empty() || !Json::parse(line, &row, &err) ||
-            !terminated) {
-            if (isLast)
-                break;  // torn final claim: never took effect
-            AERO_FATAL("claims file in '", path, "' is corrupt: line ",
-                       lineNo, ": ",
-                       line.empty() ? "empty record" : err.toString());
-        }
-        if (!sawHeader) {
-            const Json *storedSchema = row.find("schema");
-            const Json *storedFp = row.find("fingerprint");
-            if (!storedSchema || !storedSchema->isString() ||
-                storedSchema->asString() != kSchemaClaims || !storedFp ||
-                !storedFp->isString()) {
-                AERO_FATAL("claims file in '", path, "' is not an ",
-                           kSchemaClaims, " claims file (line ", lineNo,
-                           ")");
-            }
-            if (storedFp->asString() != status.fingerprint) {
-                AERO_FATAL("claims file in '", path,
-                           "' belongs to a different campaign "
-                           "configuration (fingerprint ",
-                           storedFp->asString(), ", expected ",
-                           status.fingerprint, ")");
-            }
-            sawHeader = true;
-        } else {
-            const Json *key = row.find("key");
-            const Json *worker = row.find("worker");
-            const Json *pid = row.find("pid");
-            if (!key || !worker || !worker->isString() || !pid ||
-                !pid->isNumeric()) {
-                AERO_FATAL("claims file in '", path,
-                           "' has a malformed claim on line ", lineNo);
-            }
-            CampaignClaimStatus claim;
-            claim.key = *key;
-            claim.worker = worker->asString();
-            claim.pid = static_cast<long long>(pid->asInt64());
-            claim.live = pidAlive(claim.pid);
-            claim.completed = keys.count(key->dump()) > 0;
-            const std::string canonical = key->dump();
-            const auto it = claimIndex.find(canonical);
-            if (it != claimIndex.end()) {
-                status.claims[it->second] = std::move(claim);
-            } else {
-                claimIndex.emplace(canonical, status.claims.size());
-                status.claims.push_back(std::move(claim));
-            }
-        }
-        start = next;
+    const std::string claimsPath =
+        (std::filesystem::path(path) / kClaimsFile).string();
+    status.claims =
+        readClaims(claimsPath, readFileOrEmpty(claimsPath), pin.fp).claims;
+    for (auto &claim : status.claims) {
+        claim.live = pidAlive(claim.pid);
+        claim.completed = keys.count(claim.key.dump()) > 0;
     }
     return status;
 }
@@ -1107,18 +871,14 @@ std::string
 formatCampaignStatus(const CampaignStatus &status)
 {
     std::string out = detail::concat(
-        "campaign '", status.campaign, "' (", status.schema, ") at ",
+        "campaign '", status.campaign, "' (", kSchema, ") at ",
         status.path, "\n  fingerprint ", status.fingerprint, "\n  ",
         status.distinctKeys, " distinct task(s) journaled (",
         status.records, " record(s) across ", status.workers.size(),
         " file(s))\n");
     for (const auto &ws : status.workers) {
-        out += detail::concat(
-            "    ", ws.file,
-            ws.worker.empty() ? std::string()
-                              : detail::concat(" (worker ", ws.worker,
-                                               ")"),
-            ": ", ws.records, " record(s)\n");
+        out += detail::concat("    ", ws.file, " (worker ", ws.worker,
+                              "): ", ws.records, " record(s)\n");
     }
     if (status.claims.empty())
         return out;

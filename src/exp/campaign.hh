@@ -6,30 +6,28 @@
  * or anything else shaped as "many independent tasks, each producing one
  * record".
  *
- * Single-file journal format (`aero-campaign/1`), one JSON document per
- * line:
+ * Journal format (`aero-campaign/2`): the journal path is a *directory*
+ * shared by every process of the campaign. Each process appends to its
+ * own file `journal.<worker_id>.jsonl` (the driver's id is "merge"),
+ * one JSON document per line:
  *
- *   {"schema":"aero-campaign/1","campaign":"<name>",
- *    "fingerprint":"<hex>","config":{..}}
+ *   {"schema":"aero-campaign/2","campaign":"<name>",
+ *    "fingerprint":"<hex>","worker":"<worker_id>","config":{..}}
  *   {"fingerprint":"<hex>","key":{..axes..},"payload":<any JSON>}
  *   ...
  *
- * Directory journal format (`aero-campaign/2`): the journal path is a
- * *directory* shared by N worker processes. Each worker appends to its
- * own file `journal.<worker_id>.jsonl` (same line format, header schema
- * `aero-campaign/2` plus a `"worker"` field), and every reader merges
- * all `journal.*.jsonl` files in sorted filename order with
- * duplicate-key *last-wins* semantics. Workers coordinate in-flight
- * tasks through `claims.jsonl`: before running a task, a worker takes
- * an advisory `flock()` on the claims file, re-reads it, and appends a
- * fsync'ed claim record `{"key":..,"worker":..,"pid":..}` — a task
- * claimed by another *live* pid is skipped, a claim left by a dead pid
- * is stale and silently reaped. Because task payloads are deterministic
- * functions of their keys, a reaped-and-recomputed task produces an
- * identical record and last-wins merging keeps every reader
- * byte-consistent. `compactCampaignJournal()` rewrites a journal
- * directory down to one deduplicated `journal.compacted.jsonl` with a
- * fresh header (and a single file down to its deduplicated self), so
+ * Every reader merges all `journal.*.jsonl` files in sorted filename
+ * order with duplicate-key *last-wins* semantics. Forked workers
+ * coordinate in-flight tasks through `claims.jsonl`: before running a
+ * task, a worker takes an advisory `flock()` on the claims file,
+ * re-reads it, and appends a fsync'ed claim record
+ * `{"key":..,"worker":..,"pid":..}` — a task claimed by another *live*
+ * pid is skipped, a claim left by a dead pid is stale and silently
+ * reaped. Because task payloads are deterministic functions of their
+ * keys, a reaped-and-recomputed task produces an identical record and
+ * last-wins merging keeps every reader byte-consistent.
+ * `compactCampaignJournal()` rewrites the directory down to one
+ * deduplicated `journal.compacted.jsonl` with a fresh header, so
  * journals do not grow without bound across resume cycles.
  *
  * The header pins the journal to one (campaign, configuration) pair via
@@ -48,10 +46,11 @@
  *     record* (warning; the file this process appends to is truncated
  *     back to its last good record, other workers' files are merged
  *     read-only and never touched), and fails loudly on corruption
- *     anywhere else — including a file whose first line is not a
- *     journal header (never truncate a file the caller pointed us at
- *     by mistake) — and on any campaign or fingerprint mismatch,
- *     naming the config field that differs.
+ *     anywhere else — including an own file whose first line is not a
+ *     journal header, or a checkpoint path that is a file rather than
+ *     a directory (never truncate a file the caller pointed us at by
+ *     mistake) — and on any campaign or fingerprint mismatch, naming
+ *     the config field that differs.
  *   - fflush() hands the record to the kernel page cache: a flushed
  *     record survives process death of any kind (SIGKILL included)
  *     because the kernel owns the dirty page. It does NOT survive
@@ -88,18 +87,17 @@ namespace aero
 struct JournalOptions
 {
     /**
-     * Non-empty selects directory mode (`aero-campaign/2`): the journal
-     * path names a shared directory and this process appends to
-     * `journal.<workerId>.jsonl` inside it. Letters, digits, and
-     * `._-` only. Empty (the default) is the classic single-file
-     * `aero-campaign/1` journal, bit-identical to prior releases.
+     * This process's file in the journal directory:
+     * `journal.<workerId>.jsonl`. Letters, digits, and `._-` only. The
+     * default is the driver's id; forked workers and shards set their
+     * own (`w<i>`, `shard<i>`).
      */
-    std::string workerId;
+    std::string workerId = "merge";
 
     /**
-     * Enable advisory file-locked claim records (directory mode only):
-     * tryClaim() must grant a key before the task runs, so concurrent
-     * workers never duplicate in-flight work.
+     * Enable advisory file-locked claim records: tryClaim() must grant
+     * a key before the task runs, so concurrent workers never duplicate
+     * in-flight work.
      */
     bool claims = false;
 
@@ -115,15 +113,13 @@ class CampaignJournal
 {
   public:
     /**
-     * Open (or create) the journal at @p path for the campaign named
-     * @p campaign with configuration @p config. An existing journal is
-     * validated (schema, campaign name, fingerprint) and its records
-     * are loaded; a journal written for a different campaign or
-     * configuration is fatal with a message naming the mismatch. With
-     * options.workerId set, @p path is a journal *directory* (created
-     * if absent): all worker files are merged and this process appends
-     * to its own (refusing to start when another live process already
-     * holds the worker id's file lock).
+     * Open (or create) the journal directory at @p path for the
+     * campaign named @p campaign with configuration @p config. Every
+     * worker file is validated (schema, campaign name, fingerprint) and
+     * merged; a journal written for a different campaign or
+     * configuration is fatal with a message naming the mismatch. This
+     * process appends to its own worker file, refusing to start when
+     * another live process already holds that file's lock.
      */
     CampaignJournal(std::string path, std::string campaign, Json config,
                     JournalOptions options = {});
@@ -134,9 +130,6 @@ class CampaignJournal
 
     const std::string &path() const { return journalPath; }
     const std::string &campaignName() const { return campaign; }
-
-    /** Directory mode (`aero-campaign/2`)? */
-    bool directoryMode() const { return !options.workerId.empty(); }
 
     /** Are file-locked claim records in force? */
     bool claimsEnabled() const { return options.claims; }
@@ -190,18 +183,9 @@ class CampaignJournal
                                    const Json &config);
 
   private:
-    void load();
-    void loadDirectory();
-    void loadText(const std::string &filePath, const std::string &text,
-                  bool own, std::uint64_t *goodBytes, bool *sawHeader);
-    void loadHeader(const std::string &filePath, const Json &row,
-                    std::size_t lineNo);
-    void loadRecord(const std::string &filePath, const Json &row,
-                    std::size_t lineNo);
     void openForAppend(std::uint64_t keepBytes, bool writeHeader);
     void append(const Json &row);
     void insert(Json key, Json payload);
-    const char *schema() const;
     void ensureClaimsFile();
 
     std::string journalPath;
@@ -233,7 +217,7 @@ struct CompactStats
 struct CampaignWorkerStatus
 {
     std::string file;    //!< file name (journal.w0.jsonl, ...)
-    std::string worker;  //!< worker id from the header ("" single-file)
+    std::string worker;  //!< worker id from the header
     std::size_t records = 0;  //!< journaled records, duplicates included
 };
 
@@ -256,20 +240,19 @@ struct CampaignClaimStatus
 struct CampaignStatus
 {
     std::string path;
-    std::string schema;       //!< aero-campaign/1 or aero-campaign/2
     std::string campaign;
     std::string fingerprint;
     std::size_t records = 0;      //!< total records, duplicates included
     std::size_t distinctKeys = 0; //!< deduplicated journaled tasks
     std::vector<CampaignWorkerStatus> workers;  //!< file-name order
-    std::vector<CampaignClaimStatus> claims;    //!< directory mode only
+    std::vector<CampaignClaimStatus> claims;    //!< claims.jsonl order
 };
 
 /**
- * Inspect the journal at @p path (single file or directory) without
- * modifying it. Fatal when @p path holds no journal, a file is not a
- * campaign journal, or the files disagree on the campaign fingerprint;
- * lenient about torn tails and claims from reaped workers.
+ * Inspect the journal directory at @p path without modifying it. Fatal
+ * when @p path holds no journal, a file is not a campaign journal, or a
+ * journal file or claim carries another campaign's fingerprint; lenient
+ * about torn tails and claims from reaped workers.
  */
 CampaignStatus campaignStatus(const std::string &path);
 
@@ -277,14 +260,14 @@ CampaignStatus campaignStatus(const std::string &path);
 std::string formatCampaignStatus(const CampaignStatus &status);
 
 /**
- * Rewrite the journal at @p path down to one deduplicated file with a
- * fresh header, adopting the campaign/config the journal's own header
- * pins (no external knowledge needed). A directory journal becomes a
- * single `journal.compacted.jsonl` (worker id "compacted"; all other
- * worker files and the claims file are removed); a single-file journal
- * is rewritten in place, dropping superseded duplicate-key records and
- * any torn tail. Only compact a quiescent journal — no live workers.
- * Fatal on corruption or on files from mismatched campaigns.
+ * Rewrite the journal directory at @p path down to one deduplicated
+ * `journal.compacted.jsonl` (worker id "compacted") with a fresh
+ * header, adopting the campaign/config the journal's own headers pin
+ * (no external knowledge needed). Every merged worker file and the
+ * claims file are removed; a file without a header is left as it is.
+ * Compacting an already-compacted journal rewrites it byte-identically.
+ * Only compact a quiescent journal — no live workers. Fatal on
+ * corruption or on files from mismatched campaigns.
  */
 CompactStats compactCampaignJournal(const std::string &path);
 
@@ -363,7 +346,7 @@ struct CampaignScope
  * already journaled are decoded from the journal instead of recomputed
  * — so a killed campaign resumes from its last flushed task. With a
  * null journal this is exactly parallelMap(). When the journal has
- * claims enabled (multi-worker directory mode), each pending item is
+ * claims enabled (a forked campaign worker), each pending item is
  * claimed first; an item another live worker owns is *skipped* and its
  * slot left default-constructed — a forked worker must therefore exit
  * after the map and leave artifact assembly to the parent, which

@@ -56,16 +56,6 @@ SweepCheckpoint::configOf(const SweepSpec &spec)
 }
 
 SweepCheckpoint::SweepCheckpoint(std::string path, const SweepSpec &owner,
-                                 std::string campaignName)
-    : owned(std::make_unique<CampaignJournal>(std::move(path),
-                                              std::move(campaignName),
-                                              configOf(owner))),
-      journal(owned.get()), prefix(Json::object()), spec(owner)
-{
-    load();
-}
-
-SweepCheckpoint::SweepCheckpoint(std::string path, const SweepSpec &owner,
                                  std::string campaignName,
                                  JournalOptions options)
     : owned(std::make_unique<CampaignJournal>(std::move(path),

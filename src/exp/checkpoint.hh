@@ -7,10 +7,10 @@
  * of re-running from zero.
  *
  * SweepCheckpoint is a grid-indexed view over a CampaignJournal. It can
- * *own* its journal (the `run_sweep --checkpoint` path: one journal,
- * one sweep, campaign name "sweep") or *borrow* a bench-level journal
- * shared with other campaign stages (fig16's lifetime tasks and two
- * tail-latency sweeps all live in one journal, told apart by key
+ * *own* its journal directory (the `run_sweep --checkpoint` path: one
+ * journal, one sweep, campaign name "sweep") or *borrow* a bench-level
+ * journal shared with other campaign stages (fig16's lifetime tasks and
+ * two tail-latency sweeps all live in one journal, told apart by key
  * prefixes). Either way, records are keyed by *axis values*, not
  * position, so a journal written under any thread count resumes
  * correctly under any other, and the resumed artifacts are
@@ -35,27 +35,20 @@ class SweepCheckpoint
 {
   public:
     /**
-     * Open (or create) a journal at @p path owned by this checkpoint,
-     * under @p campaignName (default "sweep") with configOf(@p spec) as
-     * the fingerprinted configuration. A journal written for a
-     * different spec — or under a different campaign name — is fatal
-     * with a message naming the mismatch. Drivers that publish their
-     * journal as an artifact (run_sweep) pass their bench-style name so
-     * the journal self-identifies like a BENCH_*.json does.
+     * Open (or create) the journal directory at @p path, owned by this
+     * checkpoint, under @p campaignName (default "sweep") with
+     * configOf(@p spec) as the fingerprinted configuration. A journal
+     * written for a different spec — or under a different campaign
+     * name — is fatal with a message naming the mismatch. Drivers that
+     * publish their journal as an artifact (run_sweep) pass their
+     * bench-style name so the journal self-identifies like a
+     * BENCH_*.json does. @p options picks this process's worker file
+     * and arms file-locked task claims for forked workers (see
+     * exp/campaign.hh for the full contract).
      */
     SweepCheckpoint(std::string path, const SweepSpec &spec,
-                    std::string campaignName = "sweep");
-
-    /**
-     * Like the owning constructor, but with explicit journal options:
-     * a non-empty JournalOptions::workerId opens @p path as an
-     * aero-campaign/2 journal *directory* (one journal.<worker>.jsonl
-     * per worker, merged on load), and JournalOptions::claims arms
-     * file-locked task claims so concurrent workers never duplicate
-     * in-flight points (see exp/campaign.hh for the full contract).
-     */
-    SweepCheckpoint(std::string path, const SweepSpec &spec,
-                    std::string campaignName, JournalOptions options);
+                    std::string campaignName = "sweep",
+                    JournalOptions options = {});
 
     /**
      * Attach to @p journal, already opened by the bench (which must

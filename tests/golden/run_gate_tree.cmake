@@ -1,21 +1,23 @@
-# Whole-tree golden gate, one aero_diff invocation for all baselines:
+# Golden regression gate, one aero_diff invocation for all baselines:
 #
 #   cmake -DBENCH_DIR=<dir with bench binaries> -DDIFF=<aero_diff>
-#         -DGOLDEN=<tests/golden> -DOUT=<scratch dir> [-DREL_TOL=<tol>]
-#         -P run_gate_tree.cmake
+#         -DGOLDEN=<tests/golden> -DOUT=<scratch dir> [-DONLY=<baseline>]
+#         [-DREL_TOL=<tol>] -P run_gate_tree.cmake
 #
 # Regenerates every bench's --small artifact (one bench binary per
 # <name>.json baseline in GOLDEN) into OUT, then runs `aero_diff GOLDEN
 # OUT` in directory mode: every baseline is paired with its regenerated
 # counterpart, unpaired files fail the gate, and the per-metric delta
 # tables for every drifting bench land in one report. This is the
-# single-command CI gate; per-bench granularity stays available as the
-# golden.* CTest tests.
+# single-command CI gate.
+#
+# -DONLY=<baseline> (a file name in GOLDEN without `.json`, e.g.
+# fig04_erase_latency_cdf or tenant_qos_slo) regenerates and diffs just
+# that baseline: the per-bench golden.* CTest tests run this way.
 #
 # Variant baselines don't map 1:1 onto a bench binary: the table below
 # names the binary and extra flags that regenerate them (kept in sync
-# with the golden.* tests and regen-golden in the top-level
-# CMakeLists.txt).
+# with regen-golden in the top-level CMakeLists.txt).
 #
 # To refresh the baselines after an intentional change:
 #   cmake --build build --target regen-golden
@@ -26,8 +28,11 @@ foreach(required BENCH_DIR DIFF GOLDEN OUT)
     endif()
 endforeach()
 if(NOT DEFINED REL_TOL)
-    # Same default as run_gate.cmake: absorbs last-ulp libm differences
-    # in floating-point metrics while integer metrics compare exactly.
+    # Zero would do in a fixed toolchain; the default absorbs last-ulp
+    # libm differences in *floating-point* metrics across compilers
+    # while still catching real drift. Integer metrics always compare
+    # exactly — if a toolchain change flips a count, regenerate the
+    # baselines (regen-golden) and review the delta.
     set(REL_TOL 1e-6)
 endif()
 
@@ -40,11 +45,18 @@ endforeach()
 file(REMOVE_RECURSE "${OUT}")
 file(MAKE_DIRECTORY "${OUT}")
 
-file(GLOB baselines RELATIVE "${GOLDEN}" "${GOLDEN}/*.json")
-if(NOT baselines)
-    message(FATAL_ERROR "no *.json baselines under '${GOLDEN}'")
+if(DEFINED ONLY)
+    set(baselines "${ONLY}.json")
+    if(NOT EXISTS "${GOLDEN}/${ONLY}.json")
+        message(FATAL_ERROR "no baseline '${ONLY}.json' under '${GOLDEN}'")
+    endif()
+else()
+    file(GLOB baselines RELATIVE "${GOLDEN}" "${GOLDEN}/*.json")
+    if(NOT baselines)
+        message(FATAL_ERROR "no *.json baselines under '${GOLDEN}'")
+    endif()
+    list(SORT baselines)
 endif()
-list(SORT baselines)
 
 # Variant table: baseline name -> (bench binary, extra flags).
 set(variant_tenant_qos_slo_BENCH tenant_qos)
@@ -73,8 +85,13 @@ foreach(baseline IN LISTS baselines)
     endif()
 endforeach()
 
+if(DEFINED ONLY)
+    set(diff_inputs "${GOLDEN}/${ONLY}.json" "${OUT}/${ONLY}.json")
+else()
+    set(diff_inputs "${GOLDEN}" "${OUT}")
+endif()
 execute_process(
-    COMMAND "${DIFF}" "${GOLDEN}" "${OUT}" --rel-tol "${REL_TOL}"
+    COMMAND "${DIFF}" ${diff_inputs} --rel-tol "${REL_TOL}"
     RESULT_VARIABLE diff_rc
     OUTPUT_VARIABLE diff_out
     ECHO_OUTPUT_VARIABLE)

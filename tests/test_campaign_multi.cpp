@@ -1,14 +1,13 @@
 /**
  * @file
- * Tests for multi-process campaign execution: directory-mode
- * (`aero-campaign/2`) journals merged from per-worker files, file-locked
- * claim records with stale-claim reaping, journal compaction, the
- * per-record fsync durability knob, and — the capstone — a fork-based
- * battery that runs real worker processes against one journal directory
- * with randomized SIGKILLs and requires the merged resume to be
- * byte-identical to a clean single-process run. The single-file
- * `aero-campaign/1` format is pinned byte-for-byte so directory mode
- * can never leak into existing journals.
+ * Tests for multi-process campaign execution: `aero-campaign/2` journal
+ * directories merged from per-worker files, file-locked claim records
+ * with stale-claim reaping, journal compaction, the per-record fsync
+ * durability knob, and — the capstone — a fork-based battery that runs
+ * real worker processes against one journal directory with randomized
+ * SIGKILLs and requires the merged resume to be byte-identical to a
+ * clean single-process run. The worker-file format is pinned
+ * byte-for-byte so existing journal directories keep resuming.
  */
 
 #include <gtest/gtest.h>
@@ -229,11 +228,9 @@ TEST(DirectoryJournalDeath, BadWorkerIdAndMisuseAreFatal)
                                  unitConfig(),
                                  workerOptions("w0/../evil")),
                  "may only contain");
-    JournalOptions claimsOnly;
-    claimsOnly.claims = true;
-    EXPECT_DEATH(CampaignJournal(tempPath("claims_only.jsonl"),
-                                 "unit-test", unitConfig(), claimsOnly),
-                 "claims need a directory-mode journal");
+    EXPECT_DEATH(CampaignJournal(tempPath("empty_id"), "unit-test",
+                                 unitConfig(), workerOptions("")),
+                 "worker id '' may only contain");
 }
 
 TEST(DirectoryJournalDeath, LiveWorkerIdIsLocked)
@@ -254,26 +251,26 @@ TEST(DirectoryJournalDeath, LiveWorkerIdIsLocked)
 }
 
 // --------------------------------------------------------------------------
-// The single-file format must stay pinned byte-for-byte.
+// The worker-file format must stay pinned byte-for-byte.
 // --------------------------------------------------------------------------
 
-TEST(SingleFileFormat, HeaderAndRecordBytesArePinned)
+TEST(JournalFormat, WorkerFileBytesArePinned)
 {
-    // PR 9 added directory mode; the aero-campaign/1 single-file
-    // format these exact bytes pin must never change (existing
-    // journals resume bit-identically).
-    const std::string path = tempPath("pinned.jsonl");
+    // The exact bytes of a worker file must never change: existing
+    // journal directories resume bit-identically.
+    const std::string dir = tempPath("pinned");
     Json config = Json::object();
     config["n"] = 3;
     {
-        CampaignJournal journal(path, "pin-test", config);
+        CampaignJournal journal(dir, "pin-test", config);
         journal.record(taskKey(1), Json(0.1));
     }
     const std::string fp =
         CampaignJournal::fingerprint("pin-test", config);
-    EXPECT_EQ(readFile(path),
-              "{\"schema\":\"aero-campaign/1\",\"campaign\":\"pin-test\","
-              "\"fingerprint\":\"" + fp + "\",\"config\":{\"n\":3}}\n"
+    EXPECT_EQ(readFile((fs::path(dir) / "journal.merge.jsonl").string()),
+              "{\"schema\":\"aero-campaign/2\",\"campaign\":\"pin-test\","
+              "\"fingerprint\":\"" + fp + "\",\"worker\":\"merge\","
+              "\"config\":{\"n\":3}}\n"
               "{\"fingerprint\":\"" + fp + "\",\"key\":{\"task\":1},"
               "\"payload\":0.1}\n");
 }
@@ -284,7 +281,7 @@ TEST(SingleFileFormat, HeaderAndRecordBytesArePinned)
 
 TEST(Claims, DisabledClaimsAlwaysGrant)
 {
-    const std::string path = tempPath("noclaims.jsonl");
+    const std::string path = tempPath("noclaims");
     CampaignJournal journal(path, "unit-test", unitConfig());
     EXPECT_FALSE(journal.claimsEnabled());
     EXPECT_TRUE(journal.tryClaim(taskKey(0)));
@@ -357,13 +354,38 @@ TEST(Claims, TornClaimTailNeverTookEffect)
     EXPECT_TRUE(w1.tryClaim(taskKey(9)));
 }
 
+TEST(Claims, TornClaimTailIsCutBeforeAppending)
+{
+    // Claims are written under the lock, so a torn tail is a dead
+    // writer's. The next claim must replace it, not fuse onto it and
+    // leave a corrupt line that kills every later reader.
+    const std::string dir = tempPath("claims_torn_cut");
+    {
+        CampaignJournal w0(dir, "unit-test", unitConfig(),
+                           workerOptions("w0", /*claims=*/true));
+        ASSERT_TRUE(w0.tryClaim(taskKey(0)));
+    }
+    const std::string claimsPath =
+        (fs::path(dir) / "claims.jsonl").string();
+    const std::string intact = readFile(claimsPath);
+    writeFile(claimsPath, intact + "{\"fingerprint\":\"to");
+    CampaignJournal w1(dir, "unit-test", unitConfig(),
+                       workerOptions("w1", /*claims=*/true));
+    EXPECT_TRUE(w1.tryClaim(taskKey(9)));
+    EXPECT_TRUE(w1.tryClaim(taskKey(10)));
+    const std::string text = readFile(claimsPath);
+    EXPECT_EQ(text.substr(0, intact.size()), intact);
+    EXPECT_EQ(text.find("\"to"), std::string::npos);
+    EXPECT_EQ(campaignStatus(dir).claims.size(), 3u);
+}
+
 // --------------------------------------------------------------------------
 // Durability: the per-record fsync knob and its env override.
 // --------------------------------------------------------------------------
 
 TEST(Durability, FsyncRecordsCountsEveryAppend)
 {
-    const std::string path = tempPath("fsync.jsonl");
+    const std::string path = tempPath("fsync");
     JournalOptions options;
     options.fsyncRecords = true;
     CampaignJournal journal(path, "unit-test", unitConfig(), options);
@@ -376,14 +398,14 @@ TEST(Durability, FsyncRecordsCountsEveryAppend)
 TEST(Durability, DefaultIsFlushOnlyAndEnvOverridesBothWays)
 {
     {
-        CampaignJournal journal(tempPath("nofsync.jsonl"), "unit-test",
+        CampaignJournal journal(tempPath("nofsync"), "unit-test",
                                 unitConfig());
         journal.record(taskKey(0), Json(0));
         EXPECT_EQ(journal.recordSyncCount(), 0u);
     }
     setenv("AERO_JOURNAL_FSYNC", "1", 1);
     {
-        CampaignJournal journal(tempPath("envfsync.jsonl"), "unit-test",
+        CampaignJournal journal(tempPath("envfsync"), "unit-test",
                                 unitConfig());
         journal.record(taskKey(0), Json(0));
         EXPECT_EQ(journal.recordSyncCount(), 2u);
@@ -392,7 +414,7 @@ TEST(Durability, DefaultIsFlushOnlyAndEnvOverridesBothWays)
     {
         JournalOptions options;
         options.fsyncRecords = true;  // env wins in both directions
-        CampaignJournal journal(tempPath("envoff.jsonl"), "unit-test",
+        CampaignJournal journal(tempPath("envoff"), "unit-test",
                                 unitConfig(), options);
         journal.record(taskKey(0), Json(0));
         EXPECT_EQ(journal.recordSyncCount(), 0u);
@@ -403,7 +425,7 @@ TEST(Durability, DefaultIsFlushOnlyAndEnvOverridesBothWays)
 TEST(DurabilityDeath, MalformedEnvIsFatal)
 {
     setenv("AERO_JOURNAL_FSYNC", "yes", 1);
-    EXPECT_DEATH(CampaignJournal(tempPath("envbad.jsonl"), "unit-test",
+    EXPECT_DEATH(CampaignJournal(tempPath("envbad"), "unit-test",
                                  unitConfig()),
                  "AERO_JOURNAL_FSYNC must be 0 or 1");
     unsetenv("AERO_JOURNAL_FSYNC");
@@ -448,27 +470,30 @@ TEST(Compaction, DirectoryBecomesOneDeduplicatedFile)
         EXPECT_EQ(reader.cached(taskKey(t)).asInt64(), 10 + t);
 }
 
-TEST(Compaction, SingleFileDeduplicatesInPlaceAndIsIdempotent)
+TEST(Compaction, CompactedDirectoryRecompactsByteIdentically)
 {
-    const std::string path = tempPath("compact_file.jsonl");
+    const std::string dir = tempPath("compact_again");
     {
-        CampaignJournal journal(path, "unit-test", unitConfig());
+        CampaignJournal journal(dir, "unit-test", unitConfig());
         journal.record(taskKey(0), Json(1));
         journal.record(taskKey(0), Json(2));
         journal.record(taskKey(1), Json(3));
     }
-    const CompactStats stats = compactCampaignJournal(path);
+    const CompactStats stats = compactCampaignJournal(dir);
     EXPECT_EQ(stats.files, 1u);
     EXPECT_EQ(stats.recordsIn, 3u);
     EXPECT_EQ(stats.recordsOut, 2u);
-    const std::string once = readFile(path);
+    const std::string compacted =
+        (fs::path(dir) / "journal.compacted.jsonl").string();
+    const std::string once = readFile(compacted);
 
-    const CompactStats again = compactCampaignJournal(path);
+    const CompactStats again = compactCampaignJournal(dir);
+    EXPECT_EQ(again.files, 1u);
     EXPECT_EQ(again.recordsIn, 2u);
     EXPECT_EQ(again.recordsOut, 2u);
-    EXPECT_EQ(readFile(path), once) << "compaction must be idempotent";
+    EXPECT_EQ(readFile(compacted), once) << "compaction must be idempotent";
 
-    CampaignJournal reopened(path, "unit-test", unitConfig());
+    CampaignJournal reopened(dir, "unit-test", unitConfig());
     EXPECT_EQ(reopened.cachedCount(), 2u);
     EXPECT_EQ(reopened.cached(taskKey(0)).asInt64(), 2);
 }
@@ -494,7 +519,8 @@ TEST(CompactionDeath, MismatchedFingerprintsRefuse)
     fs::copy_file(fs::path(foreign) / "journal.w1.jsonl",
                   fs::path(dir) / "journal.w1.jsonl");
     EXPECT_DEATH(compactCampaignJournal(dir),
-                 "belongs to a different campaign configuration");
+                 "journal.w1.jsonl' was written for a different "
+                 "'unit-test' campaign configuration.*spliced");
     EXPECT_DEATH(compactCampaignJournal(tempPath("compact_missing")),
                  "no campaign journal");
 }
@@ -530,7 +556,6 @@ TEST(Status, SyntheticDirectoryReportsProgressClaimsAndLiveness)
                   std::to_string(deadPid()) + "}\n");
 
     const CampaignStatus status = campaignStatus(dir);
-    EXPECT_EQ(status.schema, "aero-campaign/2");
     EXPECT_EQ(status.campaign, "unit-test");
     EXPECT_EQ(status.fingerprint, fp);
     EXPECT_EQ(status.records, 1u);
@@ -591,22 +616,23 @@ TEST(Status, ReclaimedTaskReportsTheLastClaimant)
     EXPECT_FALSE(status.claims[0].live);
 }
 
-TEST(Status, SingleFileJournalHasNoClaims)
+TEST(Status, DirectoryWithoutClaimsFileReportsNoClaims)
 {
-    const std::string path = tempPath("status_file.jsonl");
+    // A single-process campaign never claims: no claims.jsonl at all.
+    const std::string dir = tempPath("status_noclaims");
     {
-        CampaignJournal journal(path, "unit-test", unitConfig());
+        CampaignJournal journal(dir, "unit-test", unitConfig());
         journal.record(taskKey(0), Json(0));
         journal.record(taskKey(0), Json(1));  // duplicate key
         journal.record(taskKey(1), Json(2));
     }
-    const CampaignStatus status = campaignStatus(path);
-    EXPECT_EQ(status.schema, "aero-campaign/1");
+    ASSERT_FALSE(fs::exists(fs::path(dir) / "claims.jsonl"));
+    const CampaignStatus status = campaignStatus(dir);
     EXPECT_EQ(status.campaign, "unit-test");
     EXPECT_EQ(status.records, 3u);
     EXPECT_EQ(status.distinctKeys, 2u);
     ASSERT_EQ(status.workers.size(), 1u);
-    EXPECT_EQ(status.workers[0].worker, "");
+    EXPECT_EQ(status.workers[0].worker, "merge");
     EXPECT_EQ(status.workers[0].records, 3u);
     EXPECT_TRUE(status.claims.empty());
     const std::string text = formatCampaignStatus(status);
@@ -661,7 +687,34 @@ TEST(StatusDeath, MissingAndMismatchedJournalsAreFatal)
     fs::copy_file(fs::path(foreign) / "journal.w1.jsonl",
                   fs::path(dir) / "journal.w1.jsonl");
     EXPECT_DEATH(campaignStatus(dir),
-                 "belongs to a different campaign configuration");
+                 "journal.w1.jsonl' was written for a different "
+                 "'unit-test' campaign configuration.*spliced");
+}
+
+TEST(StatusDeath, ForeignClaimFingerprintIsFatal)
+{
+    // A claim stamped with another campaign's fingerprint is rejected
+    // by the one claims reader, so status and tryClaim agree.
+    const std::string dir = tempPath("status_foreign_claim");
+    {
+        CampaignJournal w0(dir, "unit-test", unitConfig(),
+                           workerOptions("w0", /*claims=*/true));
+        ASSERT_TRUE(w0.tryClaim(taskKey(0)));
+    }
+    const std::string claimsPath =
+        (fs::path(dir) / "claims.jsonl").string();
+    writeFile(claimsPath,
+              readFile(claimsPath) +
+                  "{\"fingerprint\":\"0123456789abcdef\",\"key\":"
+                  "{\"task\":1},\"worker\":\"w1\",\"pid\":1}\n");
+    EXPECT_DEATH(campaignStatus(dir),
+                 "claims file '.*claims.jsonl': claim on line 3 carries "
+                 "fingerprint 0123456789abcdef");
+    CampaignJournal w2(dir, "unit-test", unitConfig(),
+                       workerOptions("w2", /*claims=*/true));
+    EXPECT_DEATH(w2.tryClaim(taskKey(2)),
+                 "claims file '.*claims.jsonl': claim on line 3 carries "
+                 "fingerprint 0123456789abcdef");
 }
 
 // --------------------------------------------------------------------------
@@ -673,7 +726,7 @@ TEST(ShardedSweep, ShardsUnionToTheCleanArtifact)
     const SweepSpec spec = tinySpec();
     const std::string reference =
         artifactOf(spec, SweepRunner(1).run(spec));
-    const std::string path = tempPath("sharded.jsonl");
+    const std::string path = tempPath("sharded");
     {
         SweepCheckpoint shard0(path, spec);
         SweepRunner(1).run(spec, shard0, {}, /*shardIndex=*/0,
@@ -691,7 +744,7 @@ TEST(ShardedSweep, ShardsUnionToTheCleanArtifact)
 TEST(ShardedSweep, OffShardPointsAreNeverSimulated)
 {
     const SweepSpec spec = tinySpec();
-    const std::string path = tempPath("shard_skip.jsonl");
+    const std::string path = tempPath("shard_skip");
     SweepCheckpoint ckpt(path, spec);
     std::size_t simulated = 0;
     SweepRunner(1).run(

@@ -5,7 +5,8 @@
  * threads (in both directions across thread counts), loud fingerprint
  * mismatches naming the offending spec field, and the exhaustive
  * SweepSpec::index()-vs-expand() cross-check the axis-keyed journal
- * relies on.
+ * relies on. Every journal here is a driver-opened journal directory,
+ * so the crash helpers tear and corrupt its `journal.merge.jsonl`.
  */
 
 #include <gtest/gtest.h>
@@ -43,13 +44,21 @@ tinySpec()
         .build();
 }
 
+/** A fresh (absent) journal directory path under the test temp dir. */
 std::string
 tempJournal(const std::string &name)
 {
     const auto path =
         std::filesystem::path(::testing::TempDir()) / name;
-    std::filesystem::remove(path);
+    std::filesystem::remove_all(path);
     return path.string();
+}
+
+/** The file the driver (worker id "merge") appends to in @p dir. */
+std::string
+mergeFile(const std::string &dir)
+{
+    return (std::filesystem::path(dir) / "journal.merge.jsonl").string();
 }
 
 /** The canonical artifact body two runs are compared by. */
@@ -75,19 +84,30 @@ writeFile(const std::string &path, const std::string &content)
     out << content;
 }
 
-/** Chop the last @p bytes off a file — a torn final write. */
+/** Write @p content as the driver's journal file in directory @p dir. */
 void
-tearTail(const std::string &path, std::uintmax_t bytes)
+writeJournal(const std::string &dir, const std::string &content)
 {
+    std::filesystem::create_directories(dir);
+    writeFile(mergeFile(dir), content);
+}
+
+/** Chop the last @p bytes off @p dir's journal — a torn final write. */
+void
+tearTail(const std::string &dir, std::uintmax_t bytes)
+{
+    const std::string path = mergeFile(dir);
     const auto size = std::filesystem::file_size(path);
     ASSERT_GT(size, bytes);
     std::filesystem::resize_file(path, size - bytes);
 }
 
-/** Keep only the first @p n lines — a run killed between records. */
+/** Keep only the first @p n journal lines — a run killed between
+ *  records. */
 void
-keepLines(const std::string &path, std::size_t n)
+keepLines(const std::string &dir, std::size_t n)
 {
+    const std::string path = mergeFile(dir);
     const std::string text = readFile(path);
     std::size_t pos = 0;
     for (std::size_t line = 0; line < n; ++line) {
@@ -109,7 +129,7 @@ TEST(CheckpointResume, TornTailResumesBitIdentical)
         artifactOf(spec, SweepRunner(1).run(spec));
 
     for (const int resumeThreads : {1, 4}) {
-        const std::string path = tempJournal("torn.jsonl");
+        const std::string path = tempJournal("torn");
         {
             SweepCheckpoint ckpt(path, spec);
             SweepRunner(1).run(spec, ckpt);
@@ -128,7 +148,7 @@ TEST(CheckpointResume, TornTailResumesBitIdentical)
 TEST(CheckpointResume, FullyJournaledRunSimulatesNothing)
 {
     const SweepSpec spec = tinySpec();
-    const std::string path = tempJournal("full.jsonl");
+    const std::string path = tempJournal("full");
     const std::string reference =
         artifactOf(spec, SweepRunner(1).run(spec));
     {
@@ -152,7 +172,7 @@ TEST(CheckpointResume, ResumeAfterTruncationIsIdempotent)
     // Crash, resume, crash again, resume again: the journal must stay
     // parseable and the final artifact must still match the reference.
     const SweepSpec spec = tinySpec();
-    const std::string path = tempJournal("twice.jsonl");
+    const std::string path = tempJournal("twice");
     const std::string reference =
         artifactOf(spec, SweepRunner(1).run(spec));
     {
@@ -185,7 +205,7 @@ TEST(CheckpointResume, CrossesThreadCountsInBothDirections)
     const std::pair<const char *, const char *> directions[] = {
         {"4", "1"}, {"1", "4"}};
     for (const auto &[writer, resumer] : directions) {
-        const std::string path = tempJournal("cross.jsonl");
+        const std::string path = tempJournal("cross");
         setenv("AERO_SWEEP_THREADS", writer, 1);
         {
             SweepCheckpoint ckpt(path, spec);
@@ -213,7 +233,7 @@ TEST(CheckpointResume, CrossesThreadCountsInBothDirections)
 TEST(CheckpointFingerprint, ChangedRequestsDiesNamingRequests)
 {
     const SweepSpec spec = tinySpec();
-    const std::string path = tempJournal("mismatch_requests.jsonl");
+    const std::string path = tempJournal("mismatch_requests");
     {
         SweepCheckpoint ckpt(path, spec);
         SweepRunner(1).run(spec, ckpt);
@@ -227,7 +247,7 @@ TEST(CheckpointFingerprint, ChangedRequestsDiesNamingRequests)
 TEST(CheckpointFingerprint, ChangedAxisDiesNamingAxis)
 {
     const SweepSpec spec = tinySpec();
-    const std::string path = tempJournal("mismatch_axis.jsonl");
+    const std::string path = tempJournal("mismatch_axis");
     {
         SweepCheckpoint ckpt(path, spec);  // header only, no results
     }
@@ -249,59 +269,82 @@ TEST(CheckpointFingerprint, ChangedAxisDiesNamingAxis)
 
 TEST(CheckpointFingerprint, WrongSchemaDies)
 {
-    const std::string path = tempJournal("not_a_journal.jsonl");
-    writeFile(path, "{\"schema\":\"aero-sweep/1\",\"results\":[]}\n");
+    const std::string path = tempJournal("not_a_journal");
+    writeJournal(path,
+                 "{\"schema\":\"aero-sweep/1\",\"results\":[]}\n");
     EXPECT_DEATH(SweepCheckpoint(path, tinySpec()),
-                 "not an aero-campaign/1 journal");
+                 "not an aero-campaign/2 journal");
 }
 
 TEST(CheckpointFingerprint, NonJournalFileIsNeverTruncated)
 {
-    // Torn-tail tolerance must not extend to the header line: pointing
-    // --checkpoint at some precious non-journal file has to fail
-    // loudly, not truncate it to zero and write a header over it.
-    const std::string path = tempJournal("precious.txt");
+    // Pointing --checkpoint at a file instead of a journal directory —
+    // some precious data, or a leftover journal of the retired
+    // single-file format — has to fail loudly naming the path, never
+    // touch it.
+    const std::string precious = "my precious data, not a checkpoint";
+    const std::string leftover =
+        "{\"schema\":\"aero-campaign/1\",\"campaign\":\"sweep\","
+        "\"fingerprint\":\"0123456789abcdef\",\"config\":{}}\n"
+        "{\"fingerprint\":\"0123456789abcdef\",\"key\":{},"
+        "\"payload\":0}\n";
+    for (const std::string &contents : {precious, leftover}) {
+        const std::string path = tempJournal("precious.jsonl");
+        writeFile(path, contents);
+        EXPECT_DEATH(SweepCheckpoint(path, tinySpec()),
+                     "checkpoint '.*precious.jsonl' exists and is not a "
+                     "journal directory");
+        EXPECT_EQ(readFile(path), contents);
+    }
+}
+
+TEST(CheckpointFingerprint, NonJournalMergeFileIsNeverTruncated)
+{
+    // Torn-tail tolerance must not extend to the header line: a
+    // precious non-journal file where the driver's journal file goes
+    // has to fail loudly, not be truncated to zero under a new header.
+    const std::string path = tempJournal("precious_dir");
     const std::string contents = "my precious data, not a checkpoint";
-    writeFile(path, contents);
+    writeJournal(path, contents);
     EXPECT_DEATH(SweepCheckpoint(path, tinySpec()),
-                 "not a campaign journal");
-    EXPECT_EQ(readFile(path), contents);
+                 "'.*journal.merge.jsonl' is not a campaign journal");
+    EXPECT_EQ(readFile(mergeFile(path)), contents);
 }
 
 TEST(CheckpointFingerprint, CorruptMidJournalDies)
 {
     const SweepSpec spec = tinySpec();
-    const std::string path = tempJournal("corrupt.jsonl");
+    const std::string path = tempJournal("corrupt");
     {
         SweepCheckpoint ckpt(path, spec);
         SweepRunner(1).run(spec, ckpt);
     }
     // Damage a record in the middle: tolerance is for torn *tails*
     // only, anything else must fail loudly.
-    std::string text = readFile(path);
+    std::string text = readFile(mergeFile(path));
     const std::size_t mid = text.find("\n{") + 1;
     text[mid] = '#';
-    writeFile(path, text);
+    writeJournal(path, text);
     EXPECT_DEATH(SweepCheckpoint(path, spec), "corrupt");
 }
 
 TEST(CheckpointFingerprint, ForeignRecordFingerprintDies)
 {
     const SweepSpec spec = tinySpec();
-    const std::string path = tempJournal("foreign.jsonl");
+    const std::string path = tempJournal("foreign");
     {
         SweepCheckpoint ckpt(path, spec);
         SweepRunner(1).run(spec, ckpt);
     }
     // Splice a record stamped with another sweep's fingerprint.
-    std::string text = readFile(path);
+    std::string text = readFile(mergeFile(path));
     const std::size_t firstRecord = text.find("\n{") + 1;
     std::string forged = text.substr(firstRecord);
     forged = forged.substr(0, forged.find('\n') + 1);
     const std::size_t fpAt = forged.find("\"fingerprint\":\"") +
                              std::string("\"fingerprint\":\"").size();
     forged[fpAt] = forged[fpAt] == '0' ? '1' : '0';
-    writeFile(path, text + forged);
+    writeJournal(path, text + forged);
     EXPECT_DEATH(SweepCheckpoint(path, spec),
                  "refusing to splice records from a different campaign");
 }
@@ -461,7 +504,7 @@ chipKey(int chip)
 
 TEST(CampaignJournal, RecordsSurviveReopen)
 {
-    const std::string path = tempJournal("campaign_roundtrip.jsonl");
+    const std::string path = tempJournal("campaign_roundtrip");
     Json payload = Json::object();
     payload["value"] = 0.1;  // must round-trip bit-for-bit
     payload["count"] = std::uint64_t{18446744073709551615ull};
@@ -491,19 +534,21 @@ TEST(CampaignJournal, RecordsSurviveReopen)
 
 TEST(CampaignJournal, TornTailIsDroppedWithTheRestIntact)
 {
-    const std::string path = tempJournal("campaign_torn.jsonl");
+    const std::string path = tempJournal("campaign_torn");
     {
         CampaignJournal journal(path, "unit-test", campaignConfig());
         for (int c = 0; c < 4; ++c)
             journal.record(chipKey(c), Json(c));
     }
     tearTail(path, 9);  // mid-way through the chip-3 record
-    CampaignJournal resumed(path, "unit-test", campaignConfig());
-    EXPECT_EQ(resumed.cachedCount(), 3u);
-    EXPECT_TRUE(resumed.has(chipKey(2)));
-    EXPECT_FALSE(resumed.has(chipKey(3)));
-    // Appending after the truncation keeps the journal parseable.
-    resumed.record(chipKey(3), Json(3));
+    {
+        CampaignJournal resumed(path, "unit-test", campaignConfig());
+        EXPECT_EQ(resumed.cachedCount(), 3u);
+        EXPECT_TRUE(resumed.has(chipKey(2)));
+        EXPECT_FALSE(resumed.has(chipKey(3)));
+        // Appending after the truncation keeps the journal parseable.
+        resumed.record(chipKey(3), Json(3));
+    }
     CampaignJournal again(path, "unit-test", campaignConfig());
     EXPECT_EQ(again.cachedCount(), 4u);
 }
@@ -513,7 +558,7 @@ TEST(CampaignJournal, RandomizedCrashPointsAlwaysResume)
     // Crash battery: truncate a full journal at arbitrary byte offsets
     // (any of which a SIGKILL mid-write could produce) and require the
     // loader to recover every intact record and never a corrupt one.
-    const std::string full = tempJournal("campaign_fuzz_full.jsonl");
+    const std::string full = tempJournal("campaign_fuzz_full");
     std::vector<std::uint64_t> recordEnds;  // byte offset after line i
     {
         CampaignJournal journal(full, "unit-test", campaignConfig());
@@ -523,7 +568,7 @@ TEST(CampaignJournal, RandomizedCrashPointsAlwaysResume)
             journal.record(chipKey(c), payload);
         }
     }
-    const std::string text = readFile(full);
+    const std::string text = readFile(mergeFile(full));
     for (std::size_t pos = 0;
          (pos = text.find('\n', pos)) != std::string::npos; ++pos)
         recordEnds.push_back(pos + 1);
@@ -535,8 +580,8 @@ TEST(CampaignJournal, RandomizedCrashPointsAlwaysResume)
         const auto lo = recordEnds.front();
         const std::uint64_t cut =
             lo + rng() % (text.size() - lo + 1);
-        const std::string path = tempJournal("campaign_fuzz.jsonl");
-        writeFile(path, text.substr(0, cut));
+        const std::string path = tempJournal("campaign_fuzz");
+        writeJournal(path, text.substr(0, cut));
         CampaignJournal resumed(path, "unit-test", campaignConfig());
         // Every record wholly before the cut must be recovered.
         std::size_t wholeRecords = 0;
@@ -556,7 +601,7 @@ TEST(CampaignJournal, RandomizedCrashPointsAlwaysResume)
 
 TEST(CampaignJournal, DuplicateKeysLastWins)
 {
-    const std::string path = tempJournal("campaign_dup.jsonl");
+    const std::string path = tempJournal("campaign_dup");
     {
         CampaignJournal journal(path, "unit-test", campaignConfig());
         journal.record(chipKey(1), Json(1));
@@ -571,7 +616,7 @@ TEST(CampaignJournal, DuplicateKeysLastWins)
 
 TEST(CampaignJournalDeath, OtherCampaignsJournalIsRejected)
 {
-    const std::string path = tempJournal("campaign_wrong_name.jsonl");
+    const std::string path = tempJournal("campaign_wrong_name");
     {
         CampaignJournal journal(path, "fig07_failbits_vs_tep",
                                 campaignConfig());
@@ -584,7 +629,7 @@ TEST(CampaignJournalDeath, OtherCampaignsJournalIsRejected)
 
 TEST(CampaignJournalDeath, ChangedConfigDiesNamingTheNestedField)
 {
-    const std::string path = tempJournal("campaign_config.jsonl");
+    const std::string path = tempJournal("campaign_config");
     {
         CampaignJournal journal(path, "unit-test", campaignConfig());
     }
@@ -608,15 +653,15 @@ TEST(CampaignJournalDeath, MissingParentDirectoryNamesThePath)
     // Regression: a bad --checkpoint path must fail up front naming
     // the path and the missing directory, not as a raw stream error
     // after the campaign started.
-    EXPECT_DEATH(CampaignJournal("no/such/dir/journal.jsonl",
-                                 "unit-test", campaignConfig()),
-                 "cannot create checkpoint 'no/such/dir/journal.jsonl':"
+    EXPECT_DEATH(CampaignJournal("no/such/dir/ck.dir", "unit-test",
+                                 campaignConfig()),
+                 "cannot create checkpoint 'no/such/dir/ck.dir':"
                  " parent directory 'no/such/dir' does not exist");
 }
 
 TEST(SweepCheckpointDeath, MissingParentDirectoryNamesThePath)
 {
-    EXPECT_DEATH(SweepCheckpoint("nowhere/at/all/ck.jsonl", tinySpec()),
+    EXPECT_DEATH(SweepCheckpoint("nowhere/at/all/ck.dir", tinySpec()),
                  "parent directory 'nowhere/at/all' does not exist");
 }
 
@@ -665,7 +710,7 @@ TEST(DevcharCampaignResume, PartialJournalResumesBitIdentical)
 
     Json config = Json::object();
     config["what"] = "fig7 resume test";
-    const std::string full = tempJournal("devchar_full.jsonl");
+    const std::string full = tempJournal("devchar_full");
     {
         CampaignJournal journal(full, "fig7-test", config);
         const std::string journaled = fig7Fingerprint(
@@ -674,18 +719,18 @@ TEST(DevcharCampaignResume, PartialJournalResumesBitIdentical)
         EXPECT_EQ(journal.cachedCount(),
                   static_cast<std::size_t>(fc.numChips));
     }
-    const std::string fullText = readFile(full);
+    const std::string fullText = readFile(mergeFile(full));
 
     // Resume from every truncation prefix (complete records and torn
     // tails alike), across thread counts; the folded statistics must
     // be byte-identical each time.
     std::mt19937 rng(7);
     for (int trial = 0; trial < 8; ++trial) {
-        const std::string path = tempJournal("devchar_part.jsonl");
+        const std::string path = tempJournal("devchar_part");
         const std::size_t header = fullText.find('\n') + 1;
         const std::size_t cut =
             header + rng() % (fullText.size() - header + 1);
-        writeFile(path, fullText.substr(0, cut));
+        writeJournal(path, fullText.substr(0, cut));
         const char *threads = trial % 2 ? "4" : "1";
         setenv("AERO_SWEEP_THREADS", threads, 1);
         CampaignJournal journal(path, "fig7-test", config);
@@ -707,7 +752,7 @@ TEST(DevcharCampaignResume, FullyJournaledRunRecomputesNothing)
     const std::vector<double> pecs = {2500.0};
     Json config = Json::object();
     config["what"] = "fig7 cache test";
-    const std::string path = tempJournal("devchar_cached.jsonl");
+    const std::string path = tempJournal("devchar_cached");
     std::string reference;
     {
         CampaignJournal journal(path, "fig7-test", config);
